@@ -5,8 +5,8 @@
 //! scratch — millions of short-lived heap allocations whose sizes repeat
 //! almost exactly between neighbouring folds and design points. A
 //! [`SimArena`] keeps that scratch alive per OS thread: the fold iterator
-//! fills the same [`FoldDemandRuns`] in place via
-//! `FoldDemandsRuns::next_into`, and retired [`scalesim_memory::RunBuffer`]s
+//! fills the same [`DemandScratch`] in place via
+//! `FoldDemandsRuns::next_fold`, and retired [`scalesim_memory::RunBuffer`]s
 //! go back into a [`BufferPool`] for the next `DramModel`. After the first
 //! layer warms a worker, its fold loop performs no steady-state heap
 //! allocation.
@@ -18,8 +18,8 @@
 
 use std::cell::RefCell;
 
-use scalesim_memory::{AddrRuns, BufferPool, IntervalSet};
-use scalesim_systolic::FoldDemandRuns;
+use scalesim_memory::BufferPool;
+use scalesim_systolic::DemandScratch;
 
 /// Reusable per-worker scratch for the layer fold loop.
 ///
@@ -32,13 +32,9 @@ pub struct SimArena {
     /// [`scalesim_memory::DramModel`] built on this thread.
     pub pool: BufferPool,
     /// Demand-stream scratch the fold iterator fills in place, one fold at
-    /// a time.
-    pub demand: FoldDemandRuns,
-    /// First-use dedup set for the A stream, loaned to the demand iterator
-    /// via `fold_demand_runs_in` and reclaimed after each layer.
-    pub a_seen: IntervalSet,
-    /// Raw `a_span` scratch, loaned alongside `a_seen`.
-    pub a_scratch: AddrRuns,
+    /// a time: loaned via `fold_demand_runs_in` and reclaimed after each
+    /// layer.
+    pub demand: DemandScratch,
 }
 
 thread_local! {

@@ -600,11 +600,9 @@ fn run_partitions(
                     &dims,
                     config.array,
                     &sub_map,
-                    std::mem::take(&mut arena.a_seen),
-                    std::mem::take(&mut arena.a_scratch),
+                    std::mem::take(&mut arena.demand),
                 );
-                while demands.next_into(&mut arena.demand) {
-                    let demand = &arena.demand;
+                while let Some(demand) = demands.next_fold() {
                     elements += demand.element_count();
                     runs += demand.run_count();
                     let traffic = dram.fold_runs(
@@ -618,7 +616,7 @@ fn run_partitions(
                         stall.fold(traffic.duration, traffic.read_bytes, traffic.write_bytes);
                     }
                 }
-                (arena.a_seen, arena.a_scratch) = demands.into_scratch();
+                arena.demand = demands.into_scratch();
                 volume.add(elements, runs);
                 (
                     dram.finish_into(&mut arena.pool),

@@ -185,14 +185,17 @@ fn demand_for_fold<M: AddressMap + ?Sized>(dims: &MappedDims, fold: &Fold, map: 
 /// The **A** stream carries *real* IFMAP addresses (convolution window
 /// overlap — the reuse the DRAM model measures — lives in the real address
 /// structure), deduplicated to first-use order exactly like the legacy
-/// enumeration.
+/// enumeration. Under OS and WS it depends only on the row fold, so the
+/// iterator builds it once per row fold and copies it into every later
+/// column fold.
 ///
-/// The **B** and **O** streams carry *canonical labels* rather than real
-/// addresses: per fold, coordinate `(k, n)` or `(m, n)` maps to a dense
-/// label chosen so each loop nest emits maximal runs. The address-map
-/// contract guarantees B and O coordinates map to distinct real addresses,
-/// so the relabeling is a bijection applied consistently across the layer
-/// — and FIFO buffer hit/miss/eviction counts depend only on the equality
+/// The **B** and **O** streams carry *fold-blocked canonical labels*
+/// rather than real addresses: each fold owns one contiguous block of
+/// labels and walks it in ascending order, so every B, `o_spill` and
+/// `o_writes` stream is exactly one run. The address-map contract
+/// guarantees B and O coordinates map to distinct real addresses, so the
+/// relabeling is a bijection applied consistently across the layer — and
+/// FIFO buffer hit/miss/eviction counts depend only on the equality
 /// pattern of the stream, not on the address values. The resulting
 /// [`DramSummary`](scalesim_memory::DramSummary) is therefore identical to
 /// the legacy element path (the workspace equivalence property suite pins
@@ -264,6 +267,26 @@ impl Default for FoldDemandRuns {
     }
 }
 
+/// Reusable scratch for [`FoldDemandsRuns`]: the fold's demand streams,
+/// filled in place, plus the A stream's dedup state and per-row-fold
+/// cache. Loan it to [`fold_demand_runs_in`] and take it back with
+/// [`FoldDemandsRuns::into_scratch`], so repeated layer simulations on one
+/// worker reuse the grown storage and the fold loop allocates nothing in
+/// steady state.
+#[derive(Debug, Default)]
+pub struct DemandScratch {
+    /// The current fold's demand, filled by [`FoldDemandsRuns::next_fold`].
+    demand: FoldDemandRuns,
+    /// First-use dedup set for the A stream.
+    a_seen: IntervalSet,
+    /// Raw `a_span` output before dedup.
+    a_span: AddrRuns,
+    /// The A stream last built — once per row fold under OS and WS (by
+    /// its first column fold), once per fold under IS — and copied into
+    /// each fold's demand.
+    a_row: AddrRuns,
+}
+
 /// Iterator over run-compressed per-fold demands. Created by
 /// [`fold_demand_runs`].
 #[derive(Debug)]
@@ -271,10 +294,7 @@ pub struct FoldDemandsRuns<'a, M: ?Sized> {
     dims: MappedDims,
     map: &'a M,
     plan: FoldPlan,
-    /// Per-fold first-use dedup for the A stream, reused across folds.
-    a_seen: IntervalSet,
-    /// Scratch for raw `a_span` output before dedup.
-    a_scratch: AddrRuns,
+    scratch: DemandScratch,
 }
 
 /// Enumerates each fold's demand as address runs — the run-compressed
@@ -293,63 +313,74 @@ pub struct FoldDemandsRuns<'a, M: ?Sized> {
 /// assert_eq!(folds.len(), 4);
 /// assert_eq!(folds[0].a.element_count(), 4 * 4); // 4 rows x T=4 elements
 /// assert_eq!(folds[0].a.run_count(), 1); // ... adjacent rows fuse to one run
+/// assert_eq!(folds[0].o_writes.run_count(), 1); // one label block per fold
 /// ```
 pub fn fold_demand_runs<'a, M: AddressMap + ?Sized>(
     dims: &MappedDims,
     array: ArrayShape,
     map: &'a M,
 ) -> FoldDemandsRuns<'a, M> {
-    fold_demand_runs_in(dims, array, map, IntervalSet::new(), AddrRuns::new())
+    fold_demand_runs_in(dims, array, map, DemandScratch::default())
 }
 
-/// [`fold_demand_runs`] with caller-provided dedup scratch, so repeated
-/// layer simulations on one worker reuse the grown storage. Reclaim it
-/// with [`FoldDemandsRuns::into_scratch`] when the iterator is exhausted.
+/// [`fold_demand_runs`] with caller-provided scratch, so repeated layer
+/// simulations on one worker reuse the grown storage. Reclaim it with
+/// [`FoldDemandsRuns::into_scratch`] when the iterator is exhausted.
 pub fn fold_demand_runs_in<'a, M: AddressMap + ?Sized>(
     dims: &MappedDims,
     array: ArrayShape,
     map: &'a M,
-    a_seen: IntervalSet,
-    a_scratch: AddrRuns,
+    scratch: DemandScratch,
 ) -> FoldDemandsRuns<'a, M> {
     FoldDemandsRuns {
         dims: *dims,
         map,
         plan: FoldPlan::new(dims, array),
-        a_seen,
-        a_scratch,
+        scratch,
     }
 }
 
 impl<'a, M: AddressMap + ?Sized> FoldDemandsRuns<'a, M> {
-    /// Produces the next fold's demand into caller-owned scratch instead
-    /// of allocating a fresh [`FoldDemandRuns`]. Returns `false` when the
-    /// plan is exhausted (leaving `out` cleared).
+    /// Produces the next fold's demand in the iterator's own scratch and
+    /// lends it out; `None` when the plan is exhausted.
     ///
-    /// This is the hot-path lending form of the [`Iterator`] impl: the
-    /// simulator fold loop reuses one `FoldDemandRuns` for the whole
-    /// layer, so steady-state demand generation performs no heap
-    /// allocation.
+    /// This is the hot-path form of the [`Iterator`] impl: the simulator
+    /// fold loop reuses one [`DemandScratch`] for the whole layer, so
+    /// steady-state demand generation performs no heap allocation.
+    pub fn next_fold(&mut self) -> Option<&FoldDemandRuns> {
+        let fold = self.plan.next()?;
+        let DemandScratch {
+            demand,
+            a_seen,
+            a_span,
+            a_row,
+        } = &mut self.scratch;
+        demand.clear();
+        fill_demand_runs_for_fold(&self.dims, &fold, self.map, a_seen, a_span, a_row, demand);
+        Some(demand)
+    }
+
+    /// [`next_fold`](Self::next_fold) into caller-owned scratch instead:
+    /// returns `false` when the plan is exhausted (leaving `out` cleared).
     pub fn next_into(&mut self, out: &mut FoldDemandRuns) -> bool {
         out.clear();
         let Some(fold) = self.plan.next() else {
             return false;
         };
-        fill_demand_runs_for_fold(
-            &self.dims,
-            &fold,
-            self.map,
-            &mut self.a_seen,
-            &mut self.a_scratch,
-            out,
-        );
+        let DemandScratch {
+            a_seen,
+            a_span,
+            a_row,
+            ..
+        } = &mut self.scratch;
+        fill_demand_runs_for_fold(&self.dims, &fold, self.map, a_seen, a_span, a_row, out);
         true
     }
 
-    /// Returns the dedup scratch for reuse by the next layer's iterator —
-    /// the counterpart of [`fold_demand_runs_in`].
-    pub fn into_scratch(self) -> (IntervalSet, AddrRuns) {
-        (self.a_seen, self.a_scratch)
+    /// Returns the scratch for reuse by the next layer's iterator — the
+    /// counterpart of [`fold_demand_runs_in`].
+    pub fn into_scratch(self) -> DemandScratch {
+        self.scratch
     }
 }
 
@@ -378,12 +409,12 @@ fn push_a_dedup<M: AddressMap + ?Sized>(
     k0: u64,
     len: u64,
     seen: &mut IntervalSet,
-    scratch: &mut AddrRuns,
+    span: &mut AddrRuns,
     out: &mut AddrRuns,
 ) {
-    scratch.clear();
-    map.a_span(m, k0, len, scratch);
-    for run in scratch.iter_runs() {
+    span.clear();
+    map.a_span(m, k0, len, span);
+    for run in span.iter_runs() {
         // Fused probe: enumerate the novel sub-ranges and mark them seen
         // with one binary search over the dedup set.
         seen.insert_with_gaps(run.start, run.end(), |s, e| out.push(s, e - s));
@@ -391,89 +422,92 @@ fn push_a_dedup<M: AddressMap + ?Sized>(
 }
 
 /// Fills `out` with the fold's demand. `out` must be cleared by the
-/// caller; its stream buffers (and `a_seen` / `a_scratch`) are reused
-/// across folds so the generator allocates nothing in steady state.
+/// caller; its stream buffers (and the A scratch) are reused across folds
+/// so the generator allocates nothing in steady state.
+///
+/// A keeps real addresses. Under OS and WS it depends only on the row
+/// fold, so the first column fold (`fc == 0`, which the row-major plan
+/// always visits first) dedups it into `a_row` and every column fold
+/// copies that with one `extend_runs`; IS dedups a fresh A every fold.
+///
+/// B and O use fold-blocked labels (T = temporal, SR/SC = spatial
+/// rows/cols, ru/cu = the fold's rows/cols used): each fold's coordinates
+/// map onto one contiguous, ascending label block, disjoint from every
+/// other fold's block of the same operand.
+///
+/// | Dataflow | B `(k, n)` | O `(m, n)` |
+/// |---|---|---|
+/// | OS | `n·T + k` | `row_base·SC + col_base·ru + (m−row_base)·cu + (n−col_base)` |
+/// | WS | `n_base·SR + k·cu + (n−n_base)` | `n_base·T + m·cu + (n−n_base)` |
+/// | IS | `k_base·T + n·ru + (k−k_base)` | `m_base·T + n·cu + (m−m_base)` |
 fn fill_demand_runs_for_fold<M: AddressMap + ?Sized>(
     dims: &MappedDims,
     fold: &Fold,
     map: &M,
     a_seen: &mut IntervalSet,
-    a_scratch: &mut AddrRuns,
+    a_span: &mut AddrRuns,
+    a_row: &mut AddrRuns,
     out: &mut FoldDemandRuns,
 ) {
     let t = dims.temporal;
     let ru = fold.rows_used;
     let cu = fold.cols_used;
     out.fold = *fold;
-    let a = &mut out.a;
-    let b = &mut out.b;
-    let o_spill = &mut out.o_spill;
-    let o_writes = &mut out.o_writes;
-    a_seen.clear();
 
-    match dims.dataflow {
-        Dataflow::OutputStationary => {
-            // A: real addresses, row-major over (i, k) — one span per row.
-            for i in 0..ru {
-                push_a_dedup(map, fold.row_base + i, 0, t, a_seen, a_scratch, a);
-            }
-            // B: loop (j, k) over B[k][col_base+j]; label (k, n) -> n·T + k
-            // makes each j a run of T and the whole fold one run.
-            b.push((fold.col_base) * t, cu * t);
-            // O: loop (i, j) over O[row_base+i][col_base+j]; label
-            // (m, n) -> m·SC + n makes each row a run of cu.
-            let sc = dims.spatial_cols;
-            for i in 0..ru {
-                o_writes.push((fold.row_base + i) * sc + fold.col_base, cu);
-            }
-        }
-        Dataflow::WeightStationary => {
-            let k_base = fold.row_base;
-            let n_base = fold.col_base;
-            // B: loop (i, j) over B[k_base+i][n_base+j]; label
-            // (k, n) -> k·SC + n.
-            let sc = dims.spatial_cols;
-            for i in 0..ru {
-                b.push((k_base + i) * sc + n_base, cu);
-            }
-            // A: real addresses, loop (mt, i) -> A[mt][k_base+i].
-            for mt in 0..t {
-                push_a_dedup(map, mt, k_base, ru, a_seen, a_scratch, a);
-            }
-            // O: loop (mt, j) over O[mt][n_base+j]; label (m, n) -> m·SC + n.
-            let spill = fold.fr > 0;
-            for mt in 0..t {
-                let start = mt * sc + n_base;
-                if spill {
-                    o_spill.push(start, cu);
+    // A: real addresses. Under OS and WS they depend only on the row fold,
+    // so only its first column fold rebuilds them; IS rebuilds every fold.
+    if fold.fc == 0 || dims.dataflow == Dataflow::InputStationary {
+        a_row.clear();
+        a_seen.clear();
+        match dims.dataflow {
+            // Loop (i, k) over A[row_base+i][k]: one span per row.
+            Dataflow::OutputStationary => {
+                for i in 0..ru {
+                    push_a_dedup(map, fold.row_base + i, 0, t, a_seen, a_span, a_row);
                 }
-                o_writes.push(start, cu);
             }
-        }
-        Dataflow::InputStationary => {
-            let k_base = fold.row_base;
-            let m_base = fold.col_base;
-            // A: real addresses, loop (j, i) -> A[m_base+j][k_base+i].
-            for j in 0..cu {
-                push_a_dedup(map, m_base + j, k_base, ru, a_seen, a_scratch, a);
-            }
-            // B: loop (nt, i) over B[k_base+i][nt]; label (k, n) -> n·SR + k.
-            let sr = dims.spatial_rows;
-            for nt in 0..t {
-                b.push(nt * sr + k_base, ru);
-            }
-            // O: loop (nt, j) over O[m_base+j][nt]; label (m, n) -> n·SC + m.
-            let sc = dims.spatial_cols;
-            let spill = fold.fr > 0;
-            for nt in 0..t {
-                let start = nt * sc + m_base;
-                if spill {
-                    o_spill.push(start, cu);
+            // Loop (mt, i) over A[mt][k_base+i].
+            Dataflow::WeightStationary => {
+                for mt in 0..t {
+                    push_a_dedup(map, mt, fold.row_base, ru, a_seen, a_span, a_row);
                 }
-                o_writes.push(start, cu);
+            }
+            // Loop (j, i) over A[m_base+j][k_base+i].
+            Dataflow::InputStationary => {
+                for j in 0..cu {
+                    let m = fold.col_base + j;
+                    push_a_dedup(map, m, fold.row_base, ru, a_seen, a_span, a_row);
+                }
             }
         }
     }
+    out.a.extend_runs(a_row);
+
+    // B and O: one label block per fold (see the table above).
+    let ((b_start, b_len), (o_start, o_len)) = match dims.dataflow {
+        Dataflow::OutputStationary => (
+            (fold.col_base * t, cu * t),
+            (
+                fold.row_base * dims.spatial_cols + fold.col_base * ru,
+                ru * cu,
+            ),
+        ),
+        Dataflow::WeightStationary => (
+            (
+                fold.col_base * dims.spatial_rows + fold.row_base * cu,
+                ru * cu,
+            ),
+            (fold.col_base * t, t * cu),
+        ),
+        Dataflow::InputStationary => ((fold.row_base * t, ru * t), (fold.col_base * t, t * cu)),
+    };
+    out.b.push(b_start, b_len);
+    // WS/IS row folds beyond the first re-read the partial sums they
+    // accumulate into; OS never spills.
+    if fold.fr > 0 && dims.dataflow != Dataflow::OutputStationary {
+        out.o_spill.push(o_start, o_len);
+    }
+    out.o_writes.push(o_start, o_len);
 }
 
 #[cfg(test)]
@@ -647,6 +681,49 @@ mod tests {
                 let dims = layer.shape().project(df);
                 check_runs_match_legacy(&dims, ArrayShape::new(8, 4), &map);
             }
+        }
+    }
+
+    /// Every B, `o_spill` and `o_writes` stream is at most one run per
+    /// fold, and under OS/WS every column fold repeats its row fold's A.
+    fn check_stream_shape<M: AddressMap>(dims: &MappedDims, map: &M) {
+        let array = ArrayShape::new(4, 4);
+        let plan = FoldPlan::new(dims, array);
+        assert!(plan.fold_rows() > 1 && plan.fold_cols() > 2, "{dims:?}");
+        let mut row_a = AddrRuns::new();
+        for d in fold_demand_runs(dims, array, map) {
+            for stream in [&d.b, &d.o_spill, &d.o_writes] {
+                assert!(
+                    stream.run_count() <= 1,
+                    "{:?} fold {:?}",
+                    dims.dataflow,
+                    d.fold
+                );
+            }
+            assert_eq!(
+                d.o_spill.is_empty(),
+                d.fold.fr == 0 || dims.dataflow == Dataflow::OutputStationary
+            );
+            if dims.dataflow == Dataflow::InputStationary {
+                continue;
+            }
+            if d.fold.fc == 0 {
+                row_a = d.a;
+            } else {
+                assert_eq!(d.a, row_a, "{:?} fold {:?}", dims.dataflow, d.fold);
+            }
+        }
+    }
+
+    #[test]
+    fn streams_are_fold_blocked_and_a_is_per_row_fold() {
+        let shape = GemmShape::new(40, 12, 36);
+        let gemm = GemmAddressMap::from_shape(shape, RegionOffsets::default());
+        let layer = ConvLayer::new("t", 10, 10, 3, 3, 4, 20, 1).unwrap();
+        let conv = ConvAddressMap::new(&layer, RegionOffsets::default());
+        for df in Dataflow::ALL {
+            check_stream_shape(&shape.project(df), &gemm);
+            check_stream_shape(&layer.shape().project(df), &conv);
         }
     }
 

@@ -54,8 +54,8 @@ mod ws;
 
 pub use crate::array::ArrayShape;
 pub use crate::demand::{
-    fold_demand_runs, fold_demand_runs_in, fold_demands, FoldDemand, FoldDemandRuns, FoldDemands,
-    FoldDemandsRuns,
+    fold_demand_runs, fold_demand_runs_in, fold_demands, DemandScratch, FoldDemand, FoldDemandRuns,
+    FoldDemands, FoldDemandsRuns,
 };
 pub use crate::engine::{analyze, simulate, ComputeReport};
 pub use crate::fold::{fold_duration, Fold, FoldPlan};

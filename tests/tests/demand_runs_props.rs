@@ -19,11 +19,11 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 
 use scalesim_memory::{
-    AddrRuns, ConvAddressMap, DoubleBuffer, DramModel, GemmAddressMap, OperandBufferSpec,
-    RegionOffsets, RunBuffer, StallModel,
+    AddrRuns, AddressMap, ConvAddressMap, DoubleBuffer, DramModel, GemmAddressMap,
+    OperandBufferSpec, RegionOffsets, RunBuffer, StallModel, SubGemmMap,
 };
 use scalesim_systolic::{fold_demand_runs, fold_demands, ArrayShape, Dataflow};
-use scalesim_topology::{ConvLayerBuilder, GemmShape};
+use scalesim_topology::{ConvLayerBuilder, GemmShape, MappedDims};
 
 fn spec(bytes: u64) -> OperandBufferSpec {
     OperandBufferSpec {
@@ -36,9 +36,9 @@ fn spec(bytes: u64) -> OperandBufferSpec {
 /// observable: per-fold traffic, the final DRAM summary, and the stall
 /// model's verdict under a starved interface.
 fn check_paths_agree(
-    dims: &scalesim_topology::MappedDims,
+    dims: &MappedDims,
     array: ArrayShape,
-    map: &(impl scalesim_memory::AddressMap + ?Sized),
+    map: &(impl AddressMap + ?Sized),
     bufs: (u64, u64, u64),
 ) -> Result<(), TestCaseError> {
     let mut legacy_dram = DramModel::new(spec(bufs.0), spec(bufs.1), spec(bufs.2));
@@ -66,9 +66,9 @@ fn check_paths_agree(
 /// A stream: exact element equality. B/O streams: one layer-wide
 /// bijection between legacy addresses and canonical labels.
 fn check_streams_are_faithful(
-    dims: &scalesim_topology::MappedDims,
+    dims: &MappedDims,
     array: ArrayShape,
-    map: &(impl scalesim_memory::AddressMap + ?Sized),
+    map: &(impl AddressMap + ?Sized),
 ) -> Result<(), TestCaseError> {
     let legacy: Vec<_> = fold_demands(dims, array, map).collect();
     let runs: Vec<_> = fold_demand_runs(dims, array, map).collect();
@@ -108,6 +108,36 @@ fn check_streams_are_faithful(
     }
     Ok(())
 }
+
+/// Cuts `shape`'s `M × N` output space into a `pr × pc` grid of
+/// ceiling-share tiles, the way the scale-out simulator partitions a layer
+/// (Eq. 5), and checks both demand paths agree on every tile's `SubGemmMap`
+/// view of `map`.
+fn check_tiles_agree(
+    shape: GemmShape,
+    (pr, pc): (u64, u64),
+    df: Dataflow,
+    map: &(impl AddressMap + ?Sized),
+    bufs: (u64, u64, u64),
+) -> Result<(), TestCaseError> {
+    let chunk_m = shape.m.div_ceil(pr);
+    let chunk_n = shape.n.div_ceil(pc);
+    for m_off in (0..shape.m).step_by(chunk_m as usize) {
+        for n_off in (0..shape.n).step_by(chunk_n as usize) {
+            let tile = GemmShape::new(
+                chunk_m.min(shape.m - m_off),
+                shape.k,
+                chunk_n.min(shape.n - n_off),
+            );
+            let sub_map = SubGemmMap::new(map, m_off, n_off);
+            check_paths_agree(&tile.project(df), ArrayShape::new(4, 4), &sub_map, bufs)?;
+        }
+    }
+    Ok(())
+}
+
+/// The partition grids the tile properties cover.
+const GRIDS: [(u64, u64); 2] = [(2, 2), (1, 4)];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -157,6 +187,52 @@ proptest! {
         let array = ArrayShape::new(4, 4);
         let map = ConvAddressMap::new(&layer, RegionOffsets::default());
         check_paths_agree(&dims, array, &map, (a_buf, b_buf, o_buf))?;
+    }
+
+    /// Partitioned GEMM tiles (2x2 and 1x4 grids), all dataflows, small
+    /// SRAM: run path == element path on every tile.
+    #[test]
+    fn gemm_tiles_run_path_matches_element_path(
+        m in 1u64..48,
+        k in 1u64..24,
+        n in 1u64..48,
+        a_buf in 8u64..256,
+        b_buf in 8u64..256,
+        o_buf in 8u64..256,
+        grid_idx in 0usize..2,
+        df_idx in 0usize..3,
+    ) {
+        let shape = GemmShape::new(m, k, n);
+        let map = GemmAddressMap::from_shape(shape, RegionOffsets::default());
+        check_tiles_agree(shape, GRIDS[grid_idx], Dataflow::ALL[df_idx], &map, (a_buf, b_buf, o_buf))?;
+    }
+
+    /// Partitioned conv tiles: a tile's rows are a window of ofmap pixels,
+    /// so its A stream carries the layer's window overlap at an offset.
+    #[test]
+    fn conv_tiles_run_path_matches_element_path(
+        ifmap in 4u64..12,
+        filter in 1u64..4,
+        channels in 1u64..5,
+        filters in 1u64..12,
+        stride in 1u64..3,
+        a_buf in 8u64..256,
+        b_buf in 8u64..256,
+        o_buf in 8u64..256,
+        grid_idx in 0usize..2,
+        df_idx in 0usize..3,
+    ) {
+        prop_assume!(filter <= ifmap);
+        let layer = ConvLayerBuilder::new("p")
+            .ifmap(ifmap, ifmap)
+            .filter(filter, filter)
+            .channels(channels)
+            .num_filters(filters)
+            .stride(stride)
+            .build()
+            .unwrap();
+        let map = ConvAddressMap::new(&layer, RegionOffsets::default());
+        check_tiles_agree(layer.shape(), GRIDS[grid_idx], Dataflow::ALL[df_idx], &map, (a_buf, b_buf, o_buf))?;
     }
 
     /// The stream contract itself: A is the legacy stream verbatim; B/O

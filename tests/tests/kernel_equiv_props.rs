@@ -25,7 +25,7 @@ use scalesim_memory::{
     OperandBufferSpec, RegionOffsets, ReuseProfile, RunBuffer,
 };
 use scalesim_systolic::{
-    fold_demand_runs, fold_demand_runs_in, ArrayShape, Dataflow, FoldDemandRuns,
+    fold_demand_runs, fold_demand_runs_in, ArrayShape, Dataflow, DemandScratch,
 };
 use scalesim_topology::{ConvLayerBuilder, GemmShape};
 
@@ -455,7 +455,7 @@ fn deferred_o_installs_match_eager_element_path() {
 // ---------------------------------------------------------------------------
 
 /// Runs one layer's fold loop exactly as the simulator does (pooled
-/// buffers, lending iterator, reclaimed dedup scratch) and returns the
+/// buffers, lending iterator, reclaimed demand scratch) and returns the
 /// allocations it performed.
 fn fold_loop_allocations(
     dims: &scalesim_topology::MappedDims,
@@ -463,13 +463,12 @@ fn fold_loop_allocations(
     map: &(impl scalesim_memory::AddressMap + ?Sized),
     specs: (OperandBufferSpec, OperandBufferSpec, OperandBufferSpec),
     pool: &mut BufferPool,
-    demand: &mut FoldDemandRuns,
-    dedup: (IntervalSet, AddrRuns),
-) -> (u64, (IntervalSet, AddrRuns)) {
+    scratch: DemandScratch,
+) -> (u64, DemandScratch) {
     let before = allocations_on_this_thread();
     let mut dram = DramModel::new_in(specs.0, specs.1, specs.2, pool);
-    let mut demands = fold_demand_runs_in(dims, array, map, dedup.0, dedup.1);
-    while demands.next_into(demand) {
+    let mut demands = fold_demand_runs_in(dims, array, map, scratch);
+    while let Some(demand) = demands.next_fold() {
         dram.fold_runs(
             demand.fold.duration,
             &demand.a,
@@ -478,49 +477,54 @@ fn fold_loop_allocations(
             &demand.o_writes,
         );
     }
-    let dedup = demands.into_scratch();
+    let scratch = demands.into_scratch();
     let _ = dram.finish_into(pool);
-    (allocations_on_this_thread() - before, dedup)
+    (allocations_on_this_thread() - before, scratch)
+}
+
+/// Warms a fresh pool and scratch on one layer, then asserts a third pass
+/// over the same layer allocates nothing.
+fn assert_warm_fold_loop_is_allocation_free(
+    what: &str,
+    dims: &scalesim_topology::MappedDims,
+    array: ArrayShape,
+    map: &(impl scalesim_memory::AddressMap + ?Sized),
+) {
+    let spec = |kb: u64| OperandBufferSpec::from_kb(kb, 1);
+    let specs = (spec(4), spec(4), spec(2));
+    let mut pool = BufferPool::new();
+    let mut scratch = DemandScratch::default();
+    // Two warm-up passes: scratch buffers cycle through the LIFO pool and
+    // reach their high-water marks.
+    for _ in 0..2 {
+        (_, scratch) = fold_loop_allocations(dims, array, map, specs, &mut pool, scratch);
+    }
+    let (allocs, _) = fold_loop_allocations(dims, array, map, specs, &mut pool, scratch);
+    assert_eq!(allocs, 0, "{what}: warm fold loop must not touch the heap");
 }
 
 #[test]
 fn fold_loop_is_allocation_free_after_warmup() {
-    let spec = |kb: u64| OperandBufferSpec::from_kb(kb, 1);
+    // WS and IS exercise the spill path (real flushes of deferred
+    // installs); OS exercises pure deferral; OS and WS also reuse the
+    // per-row-fold A cache across column folds. The conv map adds
+    // window-overlap dedup to the A stream. All must be allocation-free
+    // once warm.
     let shape = GemmShape::new(96, 64, 80);
-    let map = GemmAddressMap::from_shape(shape, RegionOffsets::default());
-    // WS exercises the spill path (real flushes of deferred installs); OS
-    // exercises pure deferral. Both must be allocation-free once warm.
-    for df in [Dataflow::OutputStationary, Dataflow::WeightStationary] {
+    let gemm = GemmAddressMap::from_shape(shape, RegionOffsets::default());
+    let layer = ConvLayerBuilder::new("alloc")
+        .ifmap(14, 14)
+        .filter(3, 3)
+        .channels(8)
+        .num_filters(24)
+        .build()
+        .unwrap();
+    let conv = ConvAddressMap::new(&layer, RegionOffsets::default());
+    for df in Dataflow::ALL {
+        let array = ArrayShape::square(8);
         let dims = shape.project(df);
-        let mut pool = BufferPool::new();
-        let mut demand = FoldDemandRuns::default();
-        let mut dedup = (IntervalSet::new(), AddrRuns::new());
-        let specs = (spec(4), spec(4), spec(2));
-        // Two warm-up passes: scratch buffers cycle through the LIFO pool
-        // and reach their high-water marks.
-        for _ in 0..2 {
-            let (_, back) = fold_loop_allocations(
-                &dims,
-                ArrayShape::square(8),
-                &map,
-                specs,
-                &mut pool,
-                &mut demand,
-                dedup,
-            );
-            dedup = back;
-        }
-        let (allocs, back) = fold_loop_allocations(
-            &dims,
-            ArrayShape::square(8),
-            &map,
-            specs,
-            &mut pool,
-            &mut demand,
-            dedup,
-        );
-        dedup = back;
-        let _ = dedup;
-        assert_eq!(allocs, 0, "{df:?}: warm fold loop must not touch the heap");
+        assert_warm_fold_loop_is_allocation_free(&format!("GEMM {df:?}"), &dims, array, &gemm);
+        let dims = layer.shape().project(df);
+        assert_warm_fold_loop_is_allocation_free(&format!("conv {df:?}"), &dims, array, &conv);
     }
 }
