@@ -13,8 +13,6 @@
 //! in the loop — which is exactly how the paper uses the analytical model
 //! to "chart and prune the search space".
 
-use serde::{Deserialize, Serialize};
-
 use scalesim_systolic::{fold_duration, ArrayShape, FoldPlan};
 use scalesim_topology::{Dataflow, MappedDims};
 
@@ -69,7 +67,7 @@ pub fn estimate_scaleout_bandwidth(dims: &MappedDims, config: &ScaleOutConfig) -
 }
 
 /// What the advisor concluded.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Recommendation {
     /// The chosen configuration (grid 1×1 means "scale up").
     pub config: ScaleOutConfig,

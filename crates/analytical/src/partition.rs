@@ -8,15 +8,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use scalesim_systolic::ArrayShape;
 use scalesim_topology::MappedDims;
 
 use crate::runtime::RuntimeModel;
 
 /// A grid of identical systolic-array partitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PartitionGrid {
     rows: u64,
     cols: u64,
@@ -62,7 +60,7 @@ impl fmt::Display for PartitionGrid {
 
 /// A complete scale-out configuration: the grid plus the per-partition
 /// array shape. Total MACs = `P_R · P_C · R · C`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ScaleOutConfig {
     /// The partition grid.
     pub grid: PartitionGrid,

@@ -7,8 +7,6 @@
 //! (same MAC budget, any grid × aspect ratio) versus the best *fixed*
 //! configuration chosen by the pareto method?
 
-use serde::{Deserialize, Serialize};
-
 use scalesim_topology::MappedDims;
 
 use crate::pareto::pareto_optimal;
@@ -16,7 +14,7 @@ use crate::partition::{best_scaleout, scaleout_runtime, ScaleOutConfig};
 use crate::runtime::RuntimeModel;
 
 /// Outcome of the fixed-vs-reconfigurable comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReconfigGain {
     /// The best fixed configuration (pareto over per-layer candidates).
     pub fixed_config: ScaleOutConfig,

@@ -5,8 +5,6 @@
 //! span orders of magnitude, and (ii) the best ratio depends on the workload
 //! *and* the budget — hence the need for a search framework.
 
-use serde::{Deserialize, Serialize};
-
 use scalesim_systolic::{analyze, ArrayShape};
 use scalesim_topology::MappedDims;
 
@@ -49,7 +47,7 @@ pub fn aspect_ratio_shapes(mac_budget: u64, min_dim: u64) -> Vec<ArrayShape> {
 }
 
 /// One scored scale-up candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleUpScore {
     /// The array shape evaluated.
     pub array: ArrayShape,

@@ -393,6 +393,79 @@ fn explore_trace_out_emits_nested_chrome_trace() {
     }
 }
 
+/// `--jobs 1` means one simulating thread: partition tiles run inside the
+/// layer task, so on the partitioned WS/IS conv plan every simulator span
+/// shares one thread id and every `phase.dram` nests under a `run_layer`.
+#[test]
+fn serial_sweep_simulates_on_one_thread_with_nested_spans() {
+    use scalesim_server::Json;
+
+    let dir = temp_dir("serialtrace");
+    let plan = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/ws_is_conv.plan");
+    let trace = dir.join("trace.json");
+    let csv = dir.join("sweep.csv");
+    let out = scale_sim(&[
+        "sweep",
+        "--plan",
+        plan.to_str().unwrap(),
+        "--jobs",
+        "1",
+        "--output",
+        csv.to_str().unwrap(),
+        "--trace-out",
+        trace.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let json = Json::parse(&fs::read_to_string(&trace).unwrap()).expect("valid JSON");
+    let events = json
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .expect("traceEvents[]");
+    fn name(e: &Json) -> &str {
+        e.get("name").and_then(Json::as_str).unwrap_or("")
+    }
+    let arg = |e: &Json, key: &str| {
+        e.get("args")
+            .and_then(|a| a.get(key))
+            .and_then(Json::as_u64)
+    };
+    let complete: Vec<&Json> = events
+        .iter()
+        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+        .collect();
+    let run_layer_ids: std::collections::HashSet<u64> = complete
+        .iter()
+        .filter(|e| name(e) == "run_layer")
+        .filter_map(|e| arg(e, "id"))
+        .collect();
+    assert!(!run_layer_ids.is_empty(), "run_layer spans were recorded");
+
+    let sim_tids: std::collections::HashSet<u64> = complete
+        .iter()
+        .filter(|e| name(e) == "run_layer" || name(e).starts_with("phase."))
+        .map(|e| e.get("tid").and_then(Json::as_u64).expect("tid"))
+        .collect();
+    assert_eq!(sim_tids.len(), 1, "simulator spans on tids {sim_tids:?}");
+
+    let dram: Vec<&&Json> = complete
+        .iter()
+        .filter(|e| name(e) == "phase.dram")
+        .collect();
+    assert!(!dram.is_empty(), "phase.dram spans were recorded");
+    for event in dram {
+        let parent = arg(event, "parent");
+        assert!(
+            parent.is_some_and(|p| run_layer_ids.contains(&p)),
+            "phase.dram with parent {parent:?} is not under a run_layer"
+        );
+    }
+}
+
 #[test]
 fn sweep_error_paths_are_one_line() {
     let out = scale_sim(&["sweep"]);

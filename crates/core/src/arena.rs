@@ -12,9 +12,10 @@
 //! allocation.
 //!
 //! The arena is deliberately thread-local rather than passed down the call
-//! stack: `Simulator::run_layer` is a public, re-entrant API and partition
-//! workers are plain scoped threads, so per-thread storage gives every
-//! worker a private arena without threading `&mut` through the facade.
+//! stack: `Simulator::run_layer` is a public, re-entrant API, so per-thread
+//! storage gives every worker a private arena without threading `&mut`
+//! through the facade. A layer's partition tiles run on the thread that
+//! runs the layer, so they all share its arena.
 
 use std::cell::RefCell;
 
@@ -23,8 +24,8 @@ use scalesim_systolic::DemandScratch;
 
 /// Reusable per-worker scratch for the layer fold loop.
 ///
-/// One arena lives on each thread that runs simulations (sweep workers,
-/// partition workers, the caller's own thread). All fields start empty and
+/// One arena lives on each thread that runs simulations (executor
+/// workers, the caller's own thread). All fields start empty and
 /// grow to the largest working set the thread has seen.
 #[derive(Debug, Default)]
 pub struct SimArena {

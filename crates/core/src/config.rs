@@ -22,8 +22,6 @@
 //! and comments ignored, keys case-insensitive); [`SimConfig::to_config_string`]
 //! writes it back.
 
-use serde::{Deserialize, Serialize};
-
 use scalesim_memory::{OperandBufferSpec, RegionOffsets};
 use scalesim_systolic::ArrayShape;
 use scalesim_topology::Dataflow;
@@ -36,7 +34,7 @@ use crate::error::ParseConfigError;
 /// SRAM sizes are the *total* budget; when the simulator runs a partitioned
 /// (scale-out) configuration the budget is divided evenly among partitions,
 /// as in Sec. IV-A of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Shape of each systolic array (`ArrayHeight × ArrayWidth`).
     pub array: ArrayShape,

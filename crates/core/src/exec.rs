@@ -521,15 +521,14 @@ pub fn run_topology_guarded(
             return Err(err);
         }
     } else {
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for worker in 0..exec.workers() {
                 let exec = &exec;
                 let task = &task;
                 let label = &label;
-                scope.spawn(move |_| exec.run_worker(worker, task, label));
+                scope.spawn(move || exec.run_worker(worker, task, label));
             }
-        })
-        .expect("executor workers never unwind");
+        });
         if let Some(err) = exec.error() {
             return Err(err);
         }
@@ -585,14 +584,13 @@ mod tests {
 
     /// Drives `exec` with `workers` scoped threads running `task`.
     fn drive(exec: &Executor, task: impl Fn(usize) + Sync) {
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for w in 0..exec.workers() {
                 let exec = &exec;
                 let task = &task;
-                scope.spawn(move |_| exec.run_worker(w, task, |t| t.to_string()));
+                scope.spawn(move || exec.run_worker(w, task, |t| t.to_string()));
             }
-        })
-        .unwrap();
+        });
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   predicted runtime.
 //! * **Stage 2 — budgeted refinement.** Survivors are simulated through
 //!   the shared [`SweepEngine`] (inheriting its result cache, the
-//!   process-wide layer cache and crossbeam parallelism) in fixed-size
+//!   process-wide layer cache and its worker threads) in fixed-size
 //!   batches. After each batch the measured frontier and the
 //!   measured/predicted error distribution are updated, and the next batch
 //!   is chosen by [`acquisition_score`] — the candidates whose corrected

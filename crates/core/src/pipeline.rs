@@ -11,8 +11,6 @@
 //! (minimize the maximum stage cost over contiguous splits), with each
 //! layer's simulated cycles as its cost.
 
-use serde::{Deserialize, Serialize};
-
 use scalesim_analytical::PartitionGrid;
 use scalesim_topology::Topology;
 
@@ -21,7 +19,7 @@ use crate::report::LayerReport;
 use crate::simulator::Simulator;
 
 /// One pipeline stage: a contiguous run of layers on one accelerator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageReport {
     /// Names of the layers mapped to this stage, in order.
     pub layers: Vec<String>,
@@ -30,7 +28,7 @@ pub struct StageReport {
 }
 
 /// Result of pipelining a topology.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineReport {
     /// The stages, in topology order.
     pub stages: Vec<StageReport>,

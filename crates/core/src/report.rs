@@ -7,15 +7,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use scalesim_analytical::PartitionGrid;
 use scalesim_energy::EnergyBreakdown;
 use scalesim_memory::{DramSummary, StallSummary};
 use scalesim_systolic::{ArrayShape, SramCounts};
 
 /// Results of simulating one layer on a (possibly partitioned) accelerator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerReport {
     /// The layer's tag.
     pub name: String,
@@ -92,7 +90,7 @@ impl fmt::Display for LayerReport {
 }
 
 /// Results of simulating a whole topology, layer by layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkReport {
     name: String,
     layers: Vec<LayerReport>,

@@ -2,7 +2,6 @@
 //! partitioned, cycle-accurate compute plus the DRAM interface model.
 
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -27,8 +26,9 @@ use crate::report::{LayerReport, NetworkReport};
 /// With the default 1×1 grid this is the classic monolithic tool; with a
 /// larger grid every layer's output space is tiled across `P_R × P_C`
 /// identical arrays that execute in parallel, with the SRAM budget divided
-/// evenly (Sections III-C / IV-A of the paper). Partitions are simulated
-/// concurrently on OS threads.
+/// evenly (Sections III-C / IV-A of the paper). The partitions model
+/// concurrent hardware; the host simulates them one after another on the
+/// calling thread.
 ///
 /// See the crate-level docs for examples.
 #[derive(Debug, Clone)]
@@ -114,7 +114,7 @@ impl Simulator {
     pub fn run_layer(&self, layer: &Layer) -> LayerReport {
         let started = Instant::now();
         let _span = scalesim_telemetry::span!("run_layer", layer = layer.name());
-        let phases = PhaseNanos::default();
+        let mut phases = PhaseNanos::default();
         let shape = layer.shape();
         let config = self.effective_config(layer);
 
@@ -156,29 +156,29 @@ impl Simulator {
 
         // Each partition gets an even share of the interface bandwidth.
         let per_partition_bw = config.dram_bandwidth.map(|bw| bw / provisioned as f64);
-        let volume = DemandVolume::default();
-        let results = run_partitions(
-            &tiles,
-            &*map,
-            shape,
-            &config,
-            provisioned,
-            per_partition_bw,
-            &phases,
-            &volume,
-        );
-        record_demand_telemetry(&volume);
+        let mut volume = DemandVolume::default();
 
-        // Aggregate across partitions, consuming the per-partition results
-        // in place rather than cloning summaries out of them.
-        let active_partitions = results.len();
+        // Partitions are concurrent hardware, not host threads: the tiles
+        // run one after another on this thread and fold straight into the
+        // layer aggregate, in tile order.
+        let active_partitions = tiles.len();
         let mut per_partition_cycles = Vec::with_capacity(active_partitions);
         let mut sram = SramCounts::default();
         let mut dram = DramSummary::default();
         let mut mapping_util_sum = 0.0;
         let mut total_cycles = 0u64;
         let mut worst_stall: Option<StallSummary> = None;
-        for (compute, part_dram, part_stall) in results {
+        for tile in &tiles {
+            let (compute, part_dram, part_stall) = run_tile(
+                tile,
+                &*map,
+                shape,
+                &config,
+                provisioned,
+                per_partition_bw,
+                &mut phases,
+                &mut volume,
+            );
             per_partition_cycles.push(compute.total_cycles);
             total_cycles = total_cycles.max(compute.total_cycles);
             sram.a_reads += compute.sram.a_reads;
@@ -201,6 +201,7 @@ impl Simulator {
                 }
             }
         }
+        record_demand_telemetry(&volume);
         // Report the stall result at the layer level: the slowest
         // partition gates the layer, and the configured (total) bandwidth
         // is what the user asked about. Bus utilization must be recomputed
@@ -238,7 +239,7 @@ impl Simulator {
             self.energy_model
                 .evaluate(mac_ops, pe_cycles, sram.total(), dram.total_accesses())
         };
-        phases.add_energy(energy_started.elapsed());
+        phases.energy += energy_started.elapsed().as_nanos() as u64;
 
         let report = LayerReport {
             name: layer.name().to_owned(),
@@ -386,52 +387,31 @@ pub mod telemetry_names {
     pub const DEMAND_COMPRESSION: &str = "scalesim_demand_compression_ratio";
 }
 
-/// Per-phase wall-time accumulators, shared across partition threads.
+/// Per-phase wall-time accumulators, in nanoseconds.
 #[derive(Debug, Default)]
 struct PhaseNanos {
-    compute: AtomicU64,
-    dram: AtomicU64,
-    energy: AtomicU64,
+    compute: u64,
+    dram: u64,
+    energy: u64,
 }
 
 impl PhaseNanos {
-    fn add_compute(&self, d: std::time::Duration) {
-        self.compute
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    fn add_dram(&self, d: std::time::Duration) {
-        self.dram.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    fn add_energy(&self, d: std::time::Duration) {
-        self.energy
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
     fn micros(&self) -> [(&'static str, u64); 3] {
         [
-            ("compute", self.compute.load(Ordering::Relaxed) / 1_000),
-            ("dram", self.dram.load(Ordering::Relaxed) / 1_000),
-            ("energy", self.energy.load(Ordering::Relaxed) / 1_000),
+            ("compute", self.compute / 1_000),
+            ("dram", self.dram / 1_000),
+            ("energy", self.energy / 1_000),
         ]
     }
 }
 
-/// Demand-stream volume accumulators, shared across partition threads:
-/// how many elements the DRAM interface model was asked about, and how
-/// many run-length records it walked to answer.
+/// Demand-stream volume accumulators: how many elements the DRAM
+/// interface model was asked about, and how many run-length records it
+/// walked to answer.
 #[derive(Debug, Default)]
 struct DemandVolume {
-    elements: AtomicU64,
-    runs: AtomicU64,
-}
-
-impl DemandVolume {
-    fn add(&self, elements: u64, runs: u64) {
-        self.elements.fetch_add(elements, Ordering::Relaxed);
-        self.runs.fetch_add(runs, Ordering::Relaxed);
-    }
+    elements: u64,
+    runs: u64,
 }
 
 /// Publishes one layer's demand-stream volume and the cumulative
@@ -442,12 +422,12 @@ fn record_demand_telemetry(volume: &DemandVolume) {
         telemetry_names::DEMAND_ELEMENTS,
         "Demand-stream elements fed to the DRAM model.",
     );
-    elements.add(volume.elements.load(Ordering::Relaxed));
+    elements.add(volume.elements);
     let runs = registry.counter(
         telemetry_names::DEMAND_RUNS,
         "Run-length records the DRAM model walked.",
     );
-    runs.add(volume.runs.load(Ordering::Relaxed));
+    runs.add(volume.runs);
     registry
         .gauge(
             telemetry_names::DEMAND_COMPRESSION,
@@ -507,7 +487,7 @@ fn record_layer_telemetry(report: &LayerReport, wall: std::time::Duration, phase
 }
 
 /// Builds the operand address map for a layer.
-fn layer_map(layer: &Layer, config: &SimConfig) -> Box<dyn AddressMap + Send + Sync> {
+fn layer_map(layer: &Layer, config: &SimConfig) -> Box<dyn AddressMap> {
     match layer {
         Layer::Conv(conv) => Box::new(ConvAddressMap::new(conv, config.offsets)),
         Layer::Gemm { shape, .. } => Box::new(GemmAddressMap::from_shape(*shape, config.offsets)),
@@ -554,100 +534,73 @@ fn partition_tiles(shape: GemmShape, grid: PartitionGrid) -> Vec<Tile> {
     tiles
 }
 
-/// Simulates each tile (compute schedule + DRAM model), in parallel across
-/// OS threads when there are several. Phase wall time (compute schedule vs
-/// DRAM interface walk) accumulates into `phases` from every thread, and
-/// demand-stream volume (elements vs runs) into `volume`.
+/// Simulates one tile: compute schedule plus DRAM model. Phase wall time
+/// (compute schedule vs DRAM interface walk) accumulates into `phases`,
+/// and demand-stream volume (elements vs runs) into `volume`.
 #[allow(clippy::too_many_arguments)]
-fn run_partitions(
-    tiles: &[Tile],
-    map: &(dyn AddressMap + Send + Sync),
+fn run_tile(
+    tile: &Tile,
+    map: &dyn AddressMap,
     shape: GemmShape,
     config: &SimConfig,
     provisioned: u64,
     bandwidth_share: Option<f64>,
-    phases: &PhaseNanos,
-    volume: &DemandVolume,
-) -> Vec<(ComputeReport, DramSummary, Option<StallSummary>)> {
-    let run_tile = |tile: &Tile| -> (ComputeReport, DramSummary, Option<StallSummary>) {
-        let sub_map = SubGemmMap::new(map, tile.m_off, tile.n_off);
-        let sub_shape = GemmShape::new(tile.m_len, shape.k, tile.n_len);
-        let dims = sub_shape.project(config.dataflow);
-        let compute_started = Instant::now();
-        let compute = {
-            let _phase = scalesim_telemetry::trace::span("phase.compute");
-            analyze(&dims, config.array)
-        };
-        phases.add_compute(compute_started.elapsed());
-        let dram_started = Instant::now();
-        let (dram, stall) = {
-            let _phase = scalesim_telemetry::trace::span("phase.dram");
-            // The fold loop draws all of its scratch from this worker's
-            // arena: operand buffers from the pool, the per-fold demand
-            // streams filled in place. After the thread's first layer the
-            // loop performs no steady-state heap allocation.
-            crate::arena::with_arena(|arena| {
-                let mut dram = DramModel::new_in(
-                    config.ifmap_buffer(provisioned),
-                    config.filter_buffer(provisioned),
-                    config.ofmap_buffer(provisioned),
-                    &mut arena.pool,
-                );
-                let mut stall = bandwidth_share.map(StallModel::new);
-                let mut elements = 0u64;
-                let mut runs = 0u64;
-                let mut demands = fold_demand_runs_in(
-                    &dims,
-                    config.array,
-                    &sub_map,
-                    std::mem::take(&mut arena.demand),
-                );
-                while let Some(demand) = demands.next_fold() {
-                    elements += demand.element_count();
-                    runs += demand.run_count();
-                    let traffic = dram.fold_runs(
-                        demand.fold.duration,
-                        &demand.a,
-                        &demand.b,
-                        &demand.o_spill,
-                        &demand.o_writes,
-                    );
-                    if let Some(stall) = stall.as_mut() {
-                        stall.fold(traffic.duration, traffic.read_bytes, traffic.write_bytes);
-                    }
-                }
-                arena.demand = demands.into_scratch();
-                volume.add(elements, runs);
-                (
-                    dram.finish_into(&mut arena.pool),
-                    stall.map(StallModel::finish),
-                )
-            })
-        };
-        phases.add_dram(dram_started.elapsed());
-        (compute, dram, stall)
+    phases: &mut PhaseNanos,
+    volume: &mut DemandVolume,
+) -> (ComputeReport, DramSummary, Option<StallSummary>) {
+    let sub_map = SubGemmMap::new(map, tile.m_off, tile.n_off);
+    let sub_shape = GemmShape::new(tile.m_len, shape.k, tile.n_len);
+    let dims = sub_shape.project(config.dataflow);
+    let compute_started = Instant::now();
+    let compute = {
+        let _phase = scalesim_telemetry::trace::span("phase.compute");
+        analyze(&dims, config.array)
     };
-
-    if tiles.len() <= 1 {
-        return tiles.iter().map(run_tile).collect();
-    }
-
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(tiles.len());
-    let chunk_size = tiles.len().div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = tiles
-            .chunks(chunk_size)
-            .map(|chunk| scope.spawn(move |_| chunk.iter().map(run_tile).collect::<Vec<_>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("partition worker panicked"))
-            .collect()
-    })
-    .expect("partition scope panicked")
+    phases.compute += compute_started.elapsed().as_nanos() as u64;
+    let dram_started = Instant::now();
+    let (dram, stall) = {
+        let _phase = scalesim_telemetry::trace::span("phase.dram");
+        // The fold loop draws all of its scratch from this thread's arena:
+        // operand buffers from the pool, the per-fold demand streams
+        // filled in place. After the thread's first layer the loop
+        // performs no steady-state heap allocation.
+        crate::arena::with_arena(|arena| {
+            let mut dram = DramModel::new_in(
+                config.ifmap_buffer(provisioned),
+                config.filter_buffer(provisioned),
+                config.ofmap_buffer(provisioned),
+                &mut arena.pool,
+            );
+            let mut stall = bandwidth_share.map(StallModel::new);
+            let mut demands = fold_demand_runs_in(
+                &dims,
+                config.array,
+                &sub_map,
+                std::mem::take(&mut arena.demand),
+            );
+            while let Some(demand) = demands.next_fold() {
+                volume.elements += demand.element_count();
+                volume.runs += demand.run_count();
+                let traffic = dram.fold_runs(
+                    demand.fold.duration,
+                    &demand.a,
+                    &demand.b,
+                    &demand.o_spill,
+                    &demand.o_writes,
+                );
+                if let Some(stall) = stall.as_mut() {
+                    stall.fold(traffic.duration, traffic.read_bytes, traffic.write_bytes);
+                }
+            }
+            arena.demand = demands.into_scratch();
+            (
+                dram.finish_into(&mut arena.pool),
+                stall.map(StallModel::finish),
+            )
+        })
+    };
+    phases.dram += dram_started.elapsed().as_nanos() as u64;
+    (compute, dram, stall)
 }
 
 #[cfg(test)]
@@ -689,6 +642,23 @@ mod tests {
         assert!(quad.required_bandwidth() >= mono.required_bandwidth());
         // Same useful work either way.
         assert_eq!(quad.mac_ops, mono.mac_ops);
+    }
+
+    #[test]
+    fn partitioned_layer_warms_the_calling_threads_arena() {
+        // The tiles of a partitioned layer run on the thread that runs the
+        // layer, so its arena keeps their grown scratch for the next layer.
+        // A shape no other test simulates, so the layer cache cannot answer.
+        let layer = Layer::gemm("arena_probe", 71, 29, 53);
+        let report = Simulator::new(small_config())
+            .with_grid(PartitionGrid::new(2, 2))
+            .run_layer(&layer);
+        assert_eq!(report.active_partitions, 4);
+        crate::arena::with_arena(|arena| {
+            // One retired buffer per operand (A, B, O), shared by all four
+            // tiles in turn.
+            assert_eq!(arena.pool.pooled(), 3);
+        });
     }
 
     #[test]

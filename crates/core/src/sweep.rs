@@ -6,8 +6,8 @@
 //! product of array budgets, aspect ratios, partition grids and workloads.
 //! [`SweepPlan`] names such a product, and [`SweepEngine`] evaluates it
 //!
-//! * **in parallel** — a crossbeam scoped worker pool (`--jobs N`) pulls
-//!   points off a shared work list;
+//! * **in parallel** — `--jobs N` scoped threads share one work-stealing
+//!   executor ([`crate::exec`]) whose tasks are (point, layer) pairs;
 //! * **memoized** — every point is content-addressed by the same canonical
 //!   job text the `scalesim-server` cache uses ([`canonical_job_text`]),
 //!   deduplicated through a [`ShardedLru`], so duplicate points inside a
@@ -27,8 +27,6 @@ use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-use serde::{Deserialize, Serialize};
 
 use scalesim_analytical::{aspect_ratio_shapes, PartitionGrid};
 use scalesim_systolic::ArrayShape;
@@ -1514,14 +1512,14 @@ impl SweepEngine {
                 .to_owned()
         };
 
-        let emit = crossbeam::thread::scope(|scope| -> Result<(), SweepError> {
+        let emit = std::thread::scope(|scope| -> Result<(), SweepError> {
             if !tasks.is_empty() {
                 for worker in 0..exec.workers() {
                     let exec = &exec;
                     let run_task = &run_task;
                     let task_label = &task_label;
                     let slots = &slots;
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let _worker_span =
                             scalesim_telemetry::trace::span_with("sweep.worker", || {
                                 vec![("worker", worker.to_string())]
@@ -1574,8 +1572,7 @@ impl SweepEngine {
                 });
             }
             Ok(())
-        })
-        .expect("sweep workers never unwind");
+        });
         emit?;
         sink.end()?;
 
@@ -1602,7 +1599,7 @@ impl SweepEngine {
 }
 
 /// One point of a partition sweep: the configuration and its full report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// The partition grid.
     pub grid: PartitionGrid,

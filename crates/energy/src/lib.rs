@@ -23,8 +23,6 @@
 //! ordering `DRAM ≫ SRAM ≫ MAC > idle`, which any reasonable choice
 //! preserves — see DESIGN.md.
 
-use serde::{Deserialize, Serialize};
-
 /// Relative per-event energy constants.
 ///
 /// ```
@@ -34,7 +32,7 @@ use serde::{Deserialize, Serialize};
 /// let e = model.evaluate(1_000_000, 1_200_000, 30_000, 4_000);
 /// assert!(e.dram > e.sram); // 4k DRAM accesses cost more than 30k SRAM
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Energy of one MAC operation (the unit).
     pub mac: f64,
@@ -93,7 +91,7 @@ impl EnergyModel {
 }
 
 /// Energy by component, in MAC-equivalent units.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// Useful compute energy.
     pub mac: f64,

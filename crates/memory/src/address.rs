@@ -17,8 +17,6 @@
 //!   filter (the reuse pattern Section II-A of the paper describes). This is
 //!   what makes the DRAM model see convolution reuse.
 
-use serde::{Deserialize, Serialize};
-
 use scalesim_topology::ConvLayer;
 
 use crate::runs::AddrRuns;
@@ -28,7 +26,7 @@ use crate::runs::AddrRuns;
 ///
 /// The defaults match the original tool's defaults: disjoint 16 M-element
 /// regions so traces from different operands never alias.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RegionOffsets {
     /// Base address for IFMAP / operand-A elements.
     pub ifmap: u64,

@@ -6,8 +6,6 @@
 //! Fig. 11 plots exactly this stall-free *requirement* as partitioning
 //! increases.
 
-use serde::{Deserialize, Serialize};
-
 /// Accumulates windowed traffic samples into average / peak bandwidth.
 ///
 /// ```
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(bw.peak(), 8.0);
 /// assert!((bw.average() - 800.0 / 150.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BandwidthProfile {
     total_bytes: u64,
     total_cycles: u64,

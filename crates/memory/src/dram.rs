@@ -13,15 +13,13 @@
 //! working set of live partials fits, accumulation stays on-chip; misses
 //! become DRAM read-modify-write traffic.
 
-use serde::{Deserialize, Serialize};
-
 use crate::arena::BufferPool;
 use crate::bandwidth::BandwidthProfile;
 use crate::buffer::{EpochStats, RunBuffer};
 use crate::runs::AddrRuns;
 
 /// Sizing of one operand SRAM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OperandBufferSpec {
     /// Buffer size in bytes (e.g. `512 * 1024` for the paper's 512 KB).
     pub size_bytes: u64,
@@ -45,7 +43,7 @@ impl OperandBufferSpec {
 }
 
 /// Per-fold interface traffic, returned by [`DramModel::fold`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FoldTraffic {
     /// Compute duration of the fold in cycles.
     pub duration: u64,
@@ -65,7 +63,7 @@ pub struct FoldTraffic {
 }
 
 /// Aggregated DRAM interface summary for one simulated layer.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DramSummary {
     /// Total operand-A elements read from DRAM.
     pub reads_a: u64,

@@ -17,10 +17,8 @@
 //! The result interpolates between the compute-bound and bandwidth-bound
 //! rooflines exactly, per fold.
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregate result of a stall analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StallSummary {
     /// The interface bandwidth assumed, in bytes/cycle.
     pub bandwidth: f64,

@@ -198,9 +198,9 @@ pub fn run_batch_with_retry(
     let slots: Mutex<Vec<CompletedJob>> = Mutex::new(vec![None; jobs.len()]);
     let first_error: Mutex<Option<JobError>> = Mutex::new(None);
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..submitters {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let idx = next.fetch_add(1, Ordering::Relaxed);
                 if idx >= jobs.len() {
                     return;
@@ -234,8 +234,7 @@ pub fn run_batch_with_retry(
                 }
             });
         }
-    })
-    .expect("batch submitter panicked");
+    });
 
     if let Some(err) = first_error.into_inner().unwrap() {
         return Err(err);

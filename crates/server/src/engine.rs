@@ -43,9 +43,9 @@ use scalesim::{NetworkReport, Simulator};
 pub use scalesim::exec::FaultPlan;
 use scalesim_telemetry::{log, Counter, FlightRecorder, Gauge, Histogram, Registry};
 
-use crate::cache::ShardedLru;
 use crate::job::{JobError, JobKey, NormalizedJob, SimJob};
 use crate::json::Json;
+use scalesim::cache::ShardedLru;
 
 /// How many recent job records the per-engine flight recorder retains.
 /// Oldest records are evicted first; memory stays bounded at roughly

@@ -11,8 +11,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use scalesim::cache::ContentKey;
 use scalesim::sweep::canonical_job_text;
 use scalesim::{parse_config, PartitionGrid, SimConfig};
@@ -21,7 +19,7 @@ use scalesim_topology::{networks, parse_topology_csv, topology_to_csv, Dataflow,
 use crate::json::Json;
 
 /// What to simulate: a built-in network or an inline topology CSV.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Workload {
     /// One of the built-in networks (`resnet50`, `alexnet`, ...).
     Builtin(String),
@@ -36,7 +34,7 @@ pub enum Workload {
 
 /// A simulation request, as accepted over HTTP (`POST /simulate`) and in
 /// batch manifests. Field semantics mirror the CLI flags.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimJob {
     /// The workload to run.
     pub workload: Workload,

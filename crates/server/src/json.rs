@@ -1,7 +1,7 @@
 //! A hand-rolled JSON value, parser and writer.
 //!
 //! The server speaks JSON on the wire but the workspace's dependency set is
-//! std-only (the vendored `serde` is a marker shim), so — exactly like the
+//! std-only, so — exactly like the
 //! repo's hand-rolled INI config and CSV topology formats — JSON support is
 //! implemented locally. Integers are kept exact (`i128`) rather than routed
 //! through `f64`, because cycle counts are `u64` and must round-trip.

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Shape of a systolic MAC array: `rows × cols` processing elements.
 ///
 /// Corresponds to the `ArrayHeight` / `ArrayWidth` parameters of Table I.
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(tpu_like.macs(), 65_536);
 /// assert_eq!(tpu_like.to_string(), "256x256");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ArrayShape {
     rows: u64,
     cols: u64,

@@ -1,7 +1,5 @@
 //! The unified simulation entry point and its report.
 
-use serde::{Deserialize, Serialize};
-
 use scalesim_memory::AddressMap;
 use scalesim_topology::{Dataflow, MappedDims};
 
@@ -14,7 +12,7 @@ use crate::{is_df, os, ws, ArrayShape};
 /// Produced by [`simulate`]. All SRAM counts are derived from the same fold
 /// schedule that drives the trace engines, so they are exactly the counts a
 /// [`crate::CountingSink`] would accumulate (the test suite asserts this).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputeReport {
     /// The projected workload that was simulated.
     pub dims: MappedDims,

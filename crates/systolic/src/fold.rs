@@ -6,14 +6,12 @@
 //! takes `2r′ + c′ + T − 2` cycles (Eq. 3) where `r′ × c′` is the tile
 //! actually occupied.
 
-use serde::{Deserialize, Serialize};
-
 use scalesim_topology::MappedDims;
 
 use crate::ArrayShape;
 
 /// One fold: a tile of the workload mapped onto the array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fold {
     /// Fold index along the spatial-row dimension (`0..fold_rows`).
     pub fr: u64,

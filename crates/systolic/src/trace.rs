@@ -17,8 +17,6 @@
 
 use std::io::{self, Write};
 
-use serde::{Deserialize, Serialize};
-
 use crate::fold::Fold;
 
 /// Receives the cycle-accurate SRAM access stream from a trace engine.
@@ -64,7 +62,7 @@ impl TraceSink for NullSink {
 }
 
 /// Counts of SRAM accesses by stream.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SramCounts {
     /// Operand-A (IFMAP) reads.
     pub a_reads: u64,

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// Mapping strategy ("dataflow") for a systolic array.
 ///
 /// The *stationarity* of a dataflow names the tensor whose elements stay put
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(df, Dataflow::WeightStationary);
 /// # Ok::<(), scalesim_topology::ParseTopologyError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Dataflow {
     /// Each PE owns one OFMAP pixel and accumulates it in place.
     OutputStationary,

@@ -1,7 +1,5 @@
 //! GEMM shapes and the spatio-temporal projection of Table III.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Dataflow;
 
 /// The dense matrix-multiplication underlying a DNN layer.
@@ -22,7 +20,7 @@ use crate::Dataflow;
 /// let os = tf0.project(Dataflow::OutputStationary);
 /// assert_eq!((os.spatial_rows, os.temporal, os.spatial_cols), (31999, 84, 1024));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GemmShape {
     /// Rows of the first operand (OFMAP pixels per filter for a conv).
     pub m: u64,
@@ -93,7 +91,7 @@ impl GemmShape {
 /// Produced by [`GemmShape::project`]; consumed by the trace engines and the
 /// analytical runtime model. `spatial_rows` elements want to map along array
 /// rows, `spatial_cols` along columns, and `temporal` unrolls over cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MappedDims {
     /// `S_R`: extent mapped across array rows.
     pub spatial_rows: u64,

@@ -1,7 +1,5 @@
 //! Layer descriptions: convolutions (Table II rows) and raw GEMMs (Table IV).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{GemmShape, ValidateLayerError};
 
 /// One convolution layer, as described by a row of a topology file.
@@ -26,7 +24,7 @@ use crate::{GemmShape, ValidateLayerError};
 /// assert_eq!(conv1.window_size(), 7 * 7 * 3);
 /// # Ok::<(), scalesim_topology::ValidateLayerError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ConvLayer {
     name: String,
     ifmap_h: u64,
@@ -348,7 +346,7 @@ impl ConvLayerBuilder {
 /// The paper's CNN workloads (ResNet-50 etc.) are [`Layer::Conv`]; the
 /// language-model layers of Table IV are [`Layer::Gemm`], given directly as
 /// matrix dimensions.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Layer {
     /// A convolution (or FC-as-convolution) layer.
     Conv(ConvLayer),

@@ -1,7 +1,5 @@
 //! A named sequence of layers — one workload file.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Layer;
 
 /// A neural-network workload: an ordered list of layers.
@@ -19,7 +17,7 @@ use crate::Layer;
 /// assert_eq!(topo.len(), 2);
 /// assert_eq!(topo.total_macs(), 64u64.pow(3) + 128 * 32 * 16);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     name: String,
     layers: Vec<Layer>,

@@ -110,8 +110,8 @@ fn topology_files_survive_the_full_pipeline() {
 
 #[test]
 fn repeated_runs_are_deterministic_despite_thread_pool() {
-    // Partition workers run on threads; aggregation must not depend on
-    // completion order.
+    // The 16 partition tiles run in turn on this thread and fold in tile
+    // order; repeated runs (cold, then layer-cache hits) must agree.
     let layer = networks::language_model("GNMT3").unwrap();
     let sim = Simulator::new(fast_config()).with_grid(PartitionGrid::new(4, 4));
     let first = sim.run_layer(&layer);
