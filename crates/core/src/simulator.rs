@@ -662,6 +662,77 @@ mod tests {
     }
 
     #[test]
+    fn partitioned_layer_folds_tiles_in_tile_order() {
+        // A 3x2 grid over 70x45 gives uneven edge tiles, so a reordered or
+        // dropped tile changes `per_partition_cycles`.
+        let layer = Layer::gemm("tile_order_probe", 70, 31, 45);
+        let grid = PartitionGrid::new(3, 2);
+        let config = small_config();
+        let report = Simulator::new(config.clone())
+            .with_grid(grid)
+            .run_layer(&layer);
+
+        let shape = layer.shape();
+        let map = layer_map(&layer, &config);
+        let tiles = partition_tiles(shape, grid);
+        let mut phases = PhaseNanos::default();
+        let mut volume = DemandVolume::default();
+        let computes: Vec<ComputeReport> = tiles
+            .iter()
+            .map(|tile| {
+                let (compute, _, stall) = run_tile(
+                    tile,
+                    &*map,
+                    shape,
+                    &config,
+                    grid.count(),
+                    None,
+                    &mut phases,
+                    &mut volume,
+                );
+                assert!(stall.is_none());
+                compute
+            })
+            .collect();
+
+        assert_eq!(report.active_partitions, tiles.len() as u64);
+        let cycles: Vec<u64> = computes.iter().map(|c| c.total_cycles).collect();
+        assert_eq!(report.per_partition_cycles, cycles);
+        assert_eq!(report.total_cycles, cycles.iter().copied().max().unwrap());
+        let a_reads: u64 = computes.iter().map(|c| c.sram.a_reads).sum();
+        let o_writes: u64 = computes.iter().map(|c| c.sram.o_writes).sum();
+        assert_eq!(report.sram.a_reads, a_reads);
+        assert_eq!(report.sram.o_writes, o_writes);
+    }
+
+    #[test]
+    fn run_tile_accumulates_demand_volume_across_tiles() {
+        let layer = Layer::gemm("volume_probe", 40, 24, 36);
+        let config = small_config();
+        let shape = layer.shape();
+        let map = layer_map(&layer, &config);
+        let tiles = partition_tiles(shape, PartitionGrid::new(1, 2));
+        assert_eq!(tiles.len(), 2);
+        let mut phases = PhaseNanos::default();
+        let mut volume = DemandVolume::default();
+
+        run_tile(&tiles[0], &*map, shape, &config, 2, None, &mut phases, &mut volume);
+        let (first_elements, first_runs) = (volume.elements, volume.runs);
+        let (first_compute, first_dram) = (phases.compute, phases.dram);
+        assert!(first_elements > 0);
+        assert!(first_runs > 0 && first_runs <= first_elements);
+
+        // The second tile has the same shape, so it adds the same volume on
+        // top of the first: the accumulators sum, they do not overwrite.
+        run_tile(&tiles[1], &*map, shape, &config, 2, None, &mut phases, &mut volume);
+        assert_eq!(volume.elements, 2 * first_elements);
+        assert_eq!(volume.runs, 2 * first_runs);
+        assert!(phases.compute >= first_compute);
+        assert!(phases.dram >= first_dram);
+        assert_eq!(phases.energy, 0);
+    }
+
+    #[test]
     fn partition_tiles_cover_output_exactly() {
         let shape = GemmShape::new(10, 5, 7);
         let tiles = partition_tiles(shape, PartitionGrid::new(3, 2));
