@@ -58,6 +58,30 @@ impl fmt::Display for PartitionGrid {
     }
 }
 
+impl std::str::FromStr for PartitionGrid {
+    type Err = String;
+
+    /// Parses the `PRxPC` spelling [`Display`](fmt::Display) writes
+    /// (`"4x2"`); both counts must be nonzero.
+    fn from_str(text: &str) -> Result<PartitionGrid, String> {
+        let (rows, cols) = text
+            .split_once('x')
+            .ok_or_else(|| format!("grid `{text}` is not PRxPC"))?;
+        let rows: u64 = rows
+            .trim()
+            .parse()
+            .map_err(|_| format!("bad grid rows `{rows}`"))?;
+        let cols: u64 = cols
+            .trim()
+            .parse()
+            .map_err(|_| format!("bad grid cols `{cols}`"))?;
+        if rows == 0 || cols == 0 {
+            return Err("grid dimensions must be nonzero".into());
+        }
+        Ok(PartitionGrid::new(rows, cols))
+    }
+}
+
 /// A complete scale-out configuration: the grid plus the per-partition
 /// array shape. Total MACs = `P_R · P_C · R · C`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -186,6 +210,18 @@ mod tests {
     use crate::runtime::AnalyticalModel;
     use crate::search::best_scaleup;
     use scalesim_topology::{Dataflow, GemmShape};
+
+    #[test]
+    fn grid_parses_its_display_form() {
+        for (rows, cols) in [(1, 1), (4, 2), (1, 16), (128, 3)] {
+            let grid = PartitionGrid::new(rows, cols);
+            assert_eq!(grid.to_string().parse::<PartitionGrid>(), Ok(grid));
+        }
+        assert_eq!(" 2 x 4 ".parse(), Ok(PartitionGrid::new(2, 4)));
+        for bad in ["0x2", "2x0", "2x", "x2", "2x2x2", "-1x2", "2", "", "axb"] {
+            assert!(bad.parse::<PartitionGrid>().is_err(), "accepted {bad:?}");
+        }
+    }
 
     fn dims(m: u64, k: u64, n: u64) -> MappedDims {
         GemmShape::new(m, k, n).project(Dataflow::OutputStationary)

@@ -154,16 +154,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "-t" | "--topology" => args.topology = Some(PathBuf::from(value("--topology")?)),
             "-n" | "--network" => args.network = Some(value("--network")?),
             "-g" | "--grid" => {
-                let text = value("--grid")?;
-                let (pr, pc) = text
-                    .split_once('x')
-                    .ok_or_else(|| format!("--grid expects PRxPC, got `{text}`"))?;
-                let pr: u64 = pr.parse().map_err(|_| format!("bad grid rows `{pr}`"))?;
-                let pc: u64 = pc.parse().map_err(|_| format!("bad grid cols `{pc}`"))?;
-                if pr == 0 || pc == 0 {
-                    return Err("grid dimensions must be nonzero".into());
-                }
-                args.grid = PartitionGrid::new(pr, pc);
+                args.grid = value("--grid")?
+                    .parse()
+                    .map_err(|e| format!("--grid: {e}"))?;
             }
             "-d" | "--dataflow" => {
                 let text = value("--dataflow")?;

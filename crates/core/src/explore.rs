@@ -43,13 +43,13 @@ use scalesim_analytical::{
     PartitionGrid,
 };
 use scalesim_systolic::ArrayShape;
+use scalesim_telemetry::json::Escaped;
 use scalesim_telemetry::{Counter, Gauge, Histogram, Registry};
 use scalesim_topology::{GemmShape, Topology};
 
 use crate::report::NetworkReport;
 use crate::sweep::{
-    escape_json, sweep_row_fields, DataflowChoice, NullSink, PointSpec, SweepEngine, SweepError,
-    SweepPlan,
+    sweep_row_fields, DataflowChoice, NullSink, PointSpec, SweepEngine, SweepError, SweepPlan,
 };
 
 /// Metric names the explore engine records. Part of the public API:
@@ -337,7 +337,7 @@ impl ExploreOutcome {
                  \"array\":\"{}\",\"dataflow\":\"{}\",\"predicted_cycles\":{},\"cycles\":{},\
                  \"effective_cycles\":{},\"macs\":{},\"overall_util\":{:.4},\"dram_bytes\":{},\
                  \"peak_bw_bytes_per_cycle\":{:.3},\"energy\":{:.1},\"on_frontier\":{}}}",
-                escape_json(&point.spec.workload),
+                Escaped(&point.spec.workload),
                 point.spec.budget,
                 point.spec.partitions(),
                 point.spec.grid,

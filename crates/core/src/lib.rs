@@ -80,8 +80,8 @@ pub use crate::pipeline::{balance_stages, run_pipeline, PipelineReport, StageRep
 pub use crate::report::{LayerReport, NetworkReport};
 pub use crate::simulator::{telemetry_names, Simulator};
 pub use crate::sweep::{
-    run_partition_sweep, sweet_spot, sweet_spot_index, DataflowChoice, PlanSpaceSummary, PointSpec,
-    SweepEngine, SweepOutcome, SweepPlan, SweepPoint,
+    run_partition_sweep, summarize_groups, sweet_spot, sweet_spot_index, DataflowChoice,
+    PlanBuilder, PlanSpaceSummary, PointSpec, SweepEngine, SweepOutcome, SweepPlan, SweepPoint,
 };
 
 // The vocabulary types users need with the facade.

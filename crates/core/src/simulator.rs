@@ -668,9 +668,7 @@ mod tests {
         let layer = Layer::gemm("tile_order_probe", 70, 31, 45);
         let grid = PartitionGrid::new(3, 2);
         let config = small_config();
-        let report = Simulator::new(config.clone())
-            .with_grid(grid)
-            .run_layer(&layer);
+        let report = Simulator::new(config).with_grid(grid).run_layer(&layer);
 
         let shape = layer.shape();
         let map = layer_map(&layer, &config);
@@ -716,7 +714,16 @@ mod tests {
         let mut phases = PhaseNanos::default();
         let mut volume = DemandVolume::default();
 
-        run_tile(&tiles[0], &*map, shape, &config, 2, None, &mut phases, &mut volume);
+        run_tile(
+            &tiles[0],
+            &*map,
+            shape,
+            &config,
+            2,
+            None,
+            &mut phases,
+            &mut volume,
+        );
         let (first_elements, first_runs) = (volume.elements, volume.runs);
         let (first_compute, first_dram) = (phases.compute, phases.dram);
         assert!(first_elements > 0);
@@ -724,7 +731,16 @@ mod tests {
 
         // The second tile has the same shape, so it adds the same volume on
         // top of the first: the accumulators sum, they do not overwrite.
-        run_tile(&tiles[1], &*map, shape, &config, 2, None, &mut phases, &mut volume);
+        run_tile(
+            &tiles[1],
+            &*map,
+            shape,
+            &config,
+            2,
+            None,
+            &mut phases,
+            &mut volume,
+        );
         assert_eq!(volume.elements, 2 * first_elements);
         assert_eq!(volume.runs, 2 * first_runs);
         assert!(phases.compute >= first_compute);

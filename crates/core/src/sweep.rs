@@ -30,6 +30,7 @@ use std::time::{Duration, Instant};
 
 use scalesim_analytical::{aspect_ratio_shapes, PartitionGrid};
 use scalesim_systolic::ArrayShape;
+use scalesim_telemetry::json::Escaped;
 use scalesim_telemetry::{Counter, Histogram, Registry};
 use scalesim_topology::{networks, topology_to_csv, Dataflow, Layer, Topology};
 
@@ -214,17 +215,22 @@ impl SweepPlan {
     /// Adds a workload resolved by name via [`networks::by_name`]
     /// (built-in networks or Table IV layer tags like `TF0`).
     pub fn workload(mut self, name: &str) -> Result<SweepPlan, SweepError> {
+        self.push_workload(name)?;
+        Ok(self)
+    }
+
+    fn push_workload(&mut self, name: &str) -> Result<(), SweepError> {
         let topology = networks::by_name(name)
             .ok_or_else(|| SweepError::plan(format!("unknown workload `{name}`")))?;
         self.workloads.push(SweepWorkload {
             label: topology.name().to_owned(),
             topology,
         });
-        Ok(self)
+        Ok(())
     }
 
     /// Parses the plan-file format: `key = value` lines (`:` works too),
-    /// `#` comments. Keys:
+    /// `#` comments. Each line is one [`PlanBuilder::apply`] entry. Keys:
     ///
     /// | key | value |
     /// |---|---|
@@ -232,7 +238,7 @@ impl SweepPlan {
     /// | `workload` | comma-separated workload names ([`networks::by_name`] vocabulary); repeatable |
     /// | `budget` | comma-separated total MAC budgets, plain (`16384`) or exponent (`2^14`); repeatable |
     /// | `min_dim` | minimum array dimension (default 8) |
-    /// | `grid` | `all` (power-of-two counts, square-ish) or comma-separated `PRxPC` list |
+    /// | `grid` | `all` (power-of-two counts, square-ish) or comma-separated `PRxPC` list; repeatable |
     /// | `aspect` | `squareish` (default) or `all` (every power-of-two ratio) |
     /// | `dataflow` | comma-separated `os`/`ws`/`is`/`auto` |
     /// | `bandwidth` | DRAM bytes/cycle; enables the stall model |
@@ -266,9 +272,7 @@ impl SweepPlan {
     }
 
     fn parse_with_origin(text: &str, origin: Option<&str>) -> Result<SweepPlan, SweepError> {
-        let mut plan = SweepPlan::new("sweep");
-        let mut overrides = String::new();
-        let mut bandwidth = None;
+        let mut builder = PlanBuilder::default();
         // Diagnostic prefix: `origin:line:` when a file name is known,
         // bare `line N:` otherwise (the historical format).
         let at = |lineno: usize| match origin {
@@ -289,96 +293,14 @@ impl SweepPlan {
                 .ok_or_else(|| {
                     SweepError::plan(format!("{}: expected `key = value`", at(lineno)))
                 })?;
-            let (key, value) = (key.trim(), value.trim());
-            let fail = |msg: String| SweepError::plan(format!("{}: {msg}", at(lineno)));
-            match key {
-                "name" => plan.name = value.to_owned(),
-                "workload" => {
-                    for name in value.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                        plan = plan.workload(name).map_err(|e| fail(e.to_string()))?;
-                    }
-                }
-                "budget" => {
-                    for token in value.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                        plan.budgets.push(
-                            parse_budget(token)
-                                .ok_or_else(|| fail(format!("bad budget `{token}`")))?,
-                        );
-                    }
-                }
-                "min_dim" => {
-                    plan.min_dim = value
-                        .parse()
-                        .map_err(|_| fail(format!("bad min_dim `{value}`")))?;
-                }
-                "grid" => {
-                    if value.eq_ignore_ascii_case("all") {
-                        plan.grids = GridAxis::PowersOfTwo;
-                    } else {
-                        let mut grids = Vec::new();
-                        for token in value.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                            let (r, c) = token
-                                .split_once('x')
-                                .ok_or_else(|| fail(format!("grid `{token}` is not PRxPC")))?;
-                            let r: u64 = r
-                                .trim()
-                                .parse()
-                                .map_err(|_| fail(format!("bad grid rows `{r}`")))?;
-                            let c: u64 = c
-                                .trim()
-                                .parse()
-                                .map_err(|_| fail(format!("bad grid cols `{c}`")))?;
-                            if r == 0 || c == 0 {
-                                return Err(fail("grid dimensions must be nonzero".into()));
-                            }
-                            grids.push(PartitionGrid::new(r, c));
-                        }
-                        plan.grids = GridAxis::Explicit(grids);
-                    }
-                }
-                "aspect" => {
-                    plan.aspects = match value.to_ascii_lowercase().as_str() {
-                        "squareish" | "square" => AspectAxis::Squareish,
-                        "all" => AspectAxis::All,
-                        other => {
-                            return Err(fail(format!(
-                                "bad aspect `{other}` (want squareish or all)"
-                            )))
-                        }
-                    };
-                }
-                "dataflow" => {
-                    for token in value.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                        plan.dataflows.push(token.parse().map_err(fail)?);
-                    }
-                }
-                "bandwidth" => {
-                    let bw: f64 = value
-                        .parse()
-                        .map_err(|_| fail(format!("bad bandwidth `{value}`")))?;
-                    if !(bw.is_finite() && bw > 0.0) {
-                        return Err(fail("bandwidth must be positive".into()));
-                    }
-                    bandwidth = Some(bw);
-                }
-                _ => match key.strip_prefix("config.") {
-                    Some(cfg_key) => {
-                        overrides.push_str(&format!("{cfg_key} : {value}\n"));
-                    }
-                    None => return Err(fail(format!("unknown plan key `{key}`"))),
-                },
-            }
+            builder
+                .apply(key.trim(), value.trim())
+                .map_err(|e| SweepError::plan(format!("{}: {e}", at(lineno))))?;
         }
-        if !overrides.is_empty() {
-            plan.base = parse_config(&overrides).map_err(|e| match origin {
-                Some(name) => SweepError::plan(format!("{name}: config override: {e}")),
-                None => SweepError::plan(format!("config override: {e}")),
-            })?;
-        }
-        if let Some(bw) = bandwidth {
-            plan.base.dram_bandwidth = Some(bw);
-        }
-        Ok(plan)
+        builder.finish().map_err(|e| match origin {
+            Some(name) => SweepError::plan(format!("{name}: {e}")),
+            None => e,
+        })
     }
 
     /// The dataflow axis with the empty-means-base default applied.
@@ -424,7 +346,10 @@ impl SweepPlan {
     /// candidate generator behind [`SweepPlan::expand`], `sweep --dry-run`
     /// and explore stage 0.
     fn budget_combos(&self, budget: u64) -> Result<Vec<(PartitionGrid, ArrayShape)>, SweepError> {
-        let floor = self.min_dim * self.min_dim;
+        let floor = self
+            .min_dim
+            .checked_mul(self.min_dim)
+            .ok_or_else(|| SweepError::plan(format!("min_dim {} is too large", self.min_dim)))?;
         if !budget.is_power_of_two() || budget < floor {
             return Err(SweepError::plan(format!(
                 "budget {budget} must be a power of two of at least {floor} MACs"
@@ -523,6 +448,142 @@ impl SweepPlan {
             dataflows,
             per_budget,
         })
+    }
+}
+
+/// Builds a [`SweepPlan`] one `(key, value)` entry at a time: the single
+/// owner of the plan vocabulary and value syntax (the key table on
+/// [`SweepPlan::parse`]). The plan-file parser feeds it one line at a
+/// time; the server's JSON adapter feeds it one array item at a time.
+///
+/// `config.<Key>` overrides and `bandwidth` are applied by
+/// [`PlanBuilder::finish`], so entry order does not matter for them.
+///
+/// ```
+/// use scalesim::sweep::PlanBuilder;
+///
+/// let mut builder = PlanBuilder::default();
+/// builder.apply("workload", "TF0, TF1").unwrap();
+/// builder.apply("budget", "2^10").unwrap();
+/// builder.apply("grid", "1x1").unwrap();
+/// builder.apply("grid", "2x2").unwrap();
+/// let plan = builder.finish().unwrap();
+/// assert_eq!(plan.expand().unwrap().len(), 4);
+/// ```
+#[derive(Debug)]
+pub struct PlanBuilder {
+    plan: SweepPlan,
+    overrides: String,
+    bandwidth: Option<f64>,
+}
+
+impl Default for PlanBuilder {
+    /// An empty plan named `sweep` with the [`SweepPlan::new`] defaults.
+    fn default() -> PlanBuilder {
+        PlanBuilder {
+            plan: SweepPlan::new("sweep"),
+            overrides: String::new(),
+            bandwidth: None,
+        }
+    }
+}
+
+impl PlanBuilder {
+    /// Applies one entry. List-valued keys (`workload`, `budget`, `grid`,
+    /// `dataflow`) take comma-separated values and accumulate across
+    /// entries; `grid = all` selects the power-of-two axis instead.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SweepError::Plan`] on an unknown key, unknown workload or
+    /// malformed value. The message carries no location; callers prefix
+    /// their own.
+    pub fn apply(&mut self, key: &str, value: &str) -> Result<(), SweepError> {
+        let plan = &mut self.plan;
+        let items = || value.split(',').map(str::trim).filter(|s| !s.is_empty());
+        match key {
+            "name" => plan.name = value.to_owned(),
+            "workload" => {
+                for name in items() {
+                    plan.push_workload(name)?;
+                }
+            }
+            "budget" => {
+                for token in items() {
+                    plan.budgets.push(
+                        parse_budget(token)
+                            .ok_or_else(|| SweepError::plan(format!("bad budget `{token}`")))?,
+                    );
+                }
+            }
+            "min_dim" => {
+                plan.min_dim = value
+                    .parse()
+                    .map_err(|_| SweepError::plan(format!("bad min_dim `{value}`")))?;
+            }
+            "grid" if value.eq_ignore_ascii_case("all") => plan.grids = GridAxis::PowersOfTwo,
+            "grid" => {
+                let mut grids = match std::mem::replace(&mut plan.grids, GridAxis::PowersOfTwo) {
+                    GridAxis::Explicit(grids) => grids,
+                    GridAxis::PowersOfTwo => Vec::new(),
+                };
+                for token in items() {
+                    grids.push(token.parse().map_err(SweepError::Plan)?);
+                }
+                plan.grids = GridAxis::Explicit(grids);
+            }
+            "aspect" => {
+                plan.aspects = match value.to_ascii_lowercase().as_str() {
+                    "squareish" | "square" => AspectAxis::Squareish,
+                    "all" => AspectAxis::All,
+                    other => {
+                        return Err(SweepError::plan(format!(
+                            "bad aspect `{other}` (want squareish or all)"
+                        )))
+                    }
+                };
+            }
+            "dataflow" => {
+                for token in items() {
+                    plan.dataflows
+                        .push(token.parse().map_err(SweepError::Plan)?);
+                }
+            }
+            "bandwidth" => {
+                let bw: f64 = value
+                    .parse()
+                    .map_err(|_| SweepError::plan(format!("bad bandwidth `{value}`")))?;
+                if !(bw.is_finite() && bw > 0.0) {
+                    return Err(SweepError::plan("bandwidth must be positive"));
+                }
+                self.bandwidth = Some(bw);
+            }
+            _ => match key.strip_prefix("config.") {
+                Some(cfg_key) => {
+                    self.overrides.push_str(&format!("{cfg_key} : {value}\n"));
+                }
+                None => return Err(SweepError::plan(format!("unknown plan key `{key}`"))),
+            },
+        }
+        Ok(())
+    }
+
+    /// Applies the collected `config.<Key>` overrides (over
+    /// [`SimConfig::default`]) and then `bandwidth`, and returns the plan.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SweepError::Plan`] if the overrides do not parse.
+    pub fn finish(self) -> Result<SweepPlan, SweepError> {
+        let mut plan = self.plan;
+        if !self.overrides.is_empty() {
+            plan.base = parse_config(&self.overrides)
+                .map_err(|e| SweepError::plan(format!("config override: {e}")))?;
+        }
+        if let Some(bw) = self.bandwidth {
+            plan.base.dram_bandwidth = Some(bw);
+        }
+        Ok(plan)
     }
 }
 
@@ -757,67 +818,71 @@ pub struct GroupSummary<'a> {
 }
 
 impl SweepOutcome {
-    /// Groups results by (workload, budget, dataflow) and summarizes each:
-    /// fastest point by effective cycles, plus the sweet spot across the
-    /// group's partition counts (points ordered by partition count).
+    /// [`summarize_groups`] over this run's results.
     pub fn summarize(&self) -> Vec<GroupSummary<'_>> {
-        let mut order: Vec<(&str, u64, DataflowChoice)> = Vec::new();
-        let mut groups: HashMap<(&str, u64, String), Vec<&SweepResult>> = HashMap::new();
-        for result in &self.results {
-            let key = (
+        summarize_groups(&self.results)
+    }
+}
+
+/// Groups `results` (in plan order) by (workload, budget, dataflow) and
+/// summarizes each: fastest point by effective cycles, plus the sweet spot
+/// across the group's partition counts (points ordered by partition
+/// count). Groups come back in first-appearance order.
+pub fn summarize_groups(results: &[SweepResult]) -> Vec<GroupSummary<'_>> {
+    let mut order: Vec<(&str, u64, DataflowChoice)> = Vec::new();
+    let mut groups: HashMap<(&str, u64, String), Vec<&SweepResult>> = HashMap::new();
+    for result in results {
+        let key = (
+            result.spec.workload.as_str(),
+            result.spec.budget,
+            result.spec.dataflow.to_string(),
+        );
+        let members = groups.entry(key).or_default();
+        if members.is_empty() {
+            order.push((
                 result.spec.workload.as_str(),
                 result.spec.budget,
-                result.spec.dataflow.to_string(),
-            );
-            let members = groups.entry(key).or_default();
-            if members.is_empty() {
-                order.push((
-                    result.spec.workload.as_str(),
-                    result.spec.budget,
-                    result.spec.dataflow,
-                ));
-            }
-            members.push(result);
+                result.spec.dataflow,
+            ));
         }
-        order
-            .into_iter()
-            .map(|(workload, budget, dataflow)| {
-                let mut members = groups
-                    .remove(&(workload, budget, dataflow.to_string()))
-                    .expect("group recorded in order");
-                let best = members
-                    .iter()
-                    .copied()
-                    .min_by_key(|r| (r.report.total_effective_cycles(), r.spec.index))
-                    .expect("nonempty group");
-                members.sort_by_key(|r| (r.spec.partitions(), r.spec.index));
-                let distinct_counts = {
-                    let mut counts: Vec<u64> =
-                        members.iter().map(|r| r.spec.partitions()).collect();
-                    counts.dedup();
-                    counts.len()
-                };
-                let sweet_spot = if distinct_counts > 1 {
-                    let cycles: Vec<u64> =
-                        members.iter().map(|r| r.report.total_cycles()).collect();
-                    let bw: Vec<f64> = members
-                        .iter()
-                        .map(|r| r.report.peak_required_bandwidth())
-                        .collect();
-                    sweet_spot_index(&cycles, &bw).map(|i| members[i])
-                } else {
-                    None
-                };
-                GroupSummary {
-                    workload,
-                    budget,
-                    dataflow,
-                    best,
-                    sweet_spot,
-                }
-            })
-            .collect()
+        members.push(result);
     }
+    order
+        .into_iter()
+        .map(|(workload, budget, dataflow)| {
+            let mut members = groups
+                .remove(&(workload, budget, dataflow.to_string()))
+                .expect("group recorded in order");
+            let best = members
+                .iter()
+                .copied()
+                .min_by_key(|r| (r.report.total_effective_cycles(), r.spec.index))
+                .expect("nonempty group");
+            members.sort_by_key(|r| (r.spec.partitions(), r.spec.index));
+            let distinct_counts = {
+                let mut counts: Vec<u64> = members.iter().map(|r| r.spec.partitions()).collect();
+                counts.dedup();
+                counts.len()
+            };
+            let sweet_spot = if distinct_counts > 1 {
+                let cycles: Vec<u64> = members.iter().map(|r| r.report.total_cycles()).collect();
+                let bw: Vec<f64> = members
+                    .iter()
+                    .map(|r| r.report.peak_required_bandwidth())
+                    .collect();
+                sweet_spot_index(&cycles, &bw).map(|i| members[i])
+            } else {
+                None
+            };
+            GroupSummary {
+                workload,
+                budget,
+                dataflow,
+                best,
+                sweet_spot,
+            }
+        })
+        .collect()
 }
 
 /// Where a sweep streams its rows. Called from the engine's emitter in
@@ -929,19 +994,6 @@ impl<W: io::Write> JsonLinesSink<W> {
     }
 }
 
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl<W: io::Write> SweepSink for JsonLinesSink<W> {
     fn point(&mut self, spec: &PointSpec, report: &NetworkReport) -> io::Result<()> {
         writeln!(
@@ -950,7 +1002,7 @@ impl<W: io::Write> SweepSink for JsonLinesSink<W> {
              \"array\":\"{}\",\"dataflow\":\"{}\",\"cycles\":{},\"effective_cycles\":{},\
              \"macs\":{},\"overall_util\":{:.4},\"dram_bytes\":{},\
              \"peak_bw_bytes_per_cycle\":{:.3},\"energy\":{:.1}}}",
-            escape_json(&spec.workload),
+            Escaped(&spec.workload),
             spec.budget,
             spec.partitions(),
             spec.grid,
@@ -1819,6 +1871,10 @@ mod tests {
         let mut plan = small_plan();
         plan.grids = GridAxis::Explicit(vec![PartitionGrid::new(32, 1)]);
         assert!(plan.expand().is_err()); // 32 MACs per array < 8x8 floor
+        let mut plan = small_plan();
+        plan.min_dim = 1 << 32; // min_dim² overflows u64
+        assert!(matches!(plan.expand(), Err(SweepError::Plan(_))));
+        assert!(matches!(plan.space_summary(), Err(SweepError::Plan(_))));
     }
 
     #[test]

@@ -170,8 +170,37 @@ impl BatchOutcome {
     }
 }
 
-/// A finished manifest slot: how the job was served plus the shared result.
-type CompletedJob = Option<(Served, std::sync::Arc<SimResult>)>;
+/// Runs `job(i)` for every `i` in `0..n` on up to `submitters` scoped
+/// threads that claim indices in ascending order, and returns the outcomes
+/// in index order regardless of completion order. The submitter loop
+/// behind both batch manifests and `POST /sweep`: the engine's worker pool
+/// bounds simulation parallelism, submitters only keep it fed.
+pub(crate) fn submit_in_order<T: Send>(
+    n: usize,
+    submitters: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
+    std::thread::scope(|scope| {
+        for _ in 0..submitters.clamp(1, n.max(1)) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    return;
+                }
+                let outcome = job(i);
+                slots.lock().unwrap()[i] = Some(outcome);
+            });
+        }
+    });
+    slots
+        .into_inner()
+        .unwrap()
+        .into_iter()
+        .map(|slot| slot.expect("every index was claimed by a submitter"))
+        .collect()
+}
 
 /// Runs `jobs` through `engine` using `submitters` concurrent submitter
 /// threads, without retries. See [`run_batch_with_retry`].
@@ -186,65 +215,33 @@ pub fn run_batch(
 /// Runs `jobs` through `engine` using `submitters` concurrent submitter
 /// threads. Results come back in manifest order regardless of completion
 /// order. Jobs shed by an overloaded engine are retried per `policy`
-/// (backoff + jitter, honoring the retry hint); other errors fail fast.
+/// (backoff + jitter, honoring the retry hint); other errors are not
+/// retried, and the first failed job in manifest order fails the batch.
 pub fn run_batch_with_retry(
     engine: &Engine,
     jobs: &[SimJob],
     submitters: usize,
     policy: RetryPolicy,
 ) -> Result<BatchOutcome, JobError> {
-    let submitters = submitters.clamp(1, jobs.len().max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<CompletedJob>> = Mutex::new(vec![None; jobs.len()]);
-    let first_error: Mutex<Option<JobError>> = Mutex::new(None);
-
-    std::thread::scope(|scope| {
-        for _ in 0..submitters {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= jobs.len() {
-                    return;
+    let outcomes = submit_in_order(jobs.len(), submitters, |idx| {
+        let mut attempt = 0u32;
+        loop {
+            match engine.run(&jobs[idx]) {
+                Err(e) if e.is_retryable() && attempt < policy.retries => {
+                    std::thread::sleep(policy.backoff_delay(attempt, idx, e.retry_after_ms()));
+                    attempt += 1;
                 }
-                let mut attempt = 0u32;
-                let outcome = loop {
-                    match engine.run(&jobs[idx]) {
-                        Ok(ok) => break Ok(ok),
-                        Err(e) if e.is_retryable() && attempt < policy.retries => {
-                            std::thread::sleep(policy.backoff_delay(
-                                attempt,
-                                idx,
-                                e.retry_after_ms(),
-                            ));
-                            attempt += 1;
-                        }
-                        Err(e) => break Err(e),
-                    }
-                };
-                match outcome {
-                    Ok((result, served)) => {
-                        slots.lock().unwrap()[idx] = Some((served, result));
-                    }
-                    Err(e) => {
-                        let mut first = first_error.lock().unwrap();
-                        if first.is_none() {
-                            *first = Some(JobError::BadRequest(format!("job {}: {e}", idx + 1)));
-                        }
-                        // Keep draining the queue so other submitters finish.
-                    }
-                }
-            });
+                outcome => return outcome,
+            }
         }
     });
 
-    if let Some(err) = first_error.into_inner().unwrap() {
-        return Err(err);
-    }
-    let slots = slots.into_inner().unwrap();
     let mut entries = Vec::with_capacity(jobs.len());
     let mut cache_hits = 0u64;
     let mut simulations = 0u64;
-    for (job, slot) in jobs.iter().zip(slots) {
-        let (served, result) = slot.expect("every job slot filled");
+    for (idx, (job, outcome)) in jobs.iter().zip(outcomes).enumerate() {
+        let (result, served) =
+            outcome.map_err(|e| JobError::BadRequest(format!("job {}: {e}", idx + 1)))?;
         match served {
             Served::Fresh => simulations += 1,
             Served::Cache | Served::Joined => cache_hits += 1,

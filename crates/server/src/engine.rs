@@ -168,8 +168,9 @@ impl Served {
 pub struct SimResult {
     /// Content-addressed key of the normalized job.
     pub key: JobKey,
-    /// The simulation report.
-    pub report: NetworkReport,
+    /// The simulation report, shared so sweep points can hand it on as a
+    /// [`scalesim::sweep::SweepResult`] without copying.
+    pub report: Arc<NetworkReport>,
     /// Wall time of the underlying simulation in microseconds (the
     /// leader's measurement; identical for cache hits and joins, keeping
     /// response bodies for equal jobs byte-identical).
@@ -577,6 +578,11 @@ impl Engine {
         &self.shared.stats
     }
 
+    /// Number of simulation worker threads.
+    pub(crate) fn workers(&self) -> usize {
+        self.shared.workers
+    }
+
     /// The engine's metric registry — everything `GET /stats` reports plus
     /// cache, queue-wait and dedup histograms, renderable as Prometheus
     /// text via [`Registry::render`].
@@ -915,7 +921,7 @@ fn worker_loop(shared: Arc<Shared>) {
                 );
                 Ok(Arc::new(SimResult {
                     key,
-                    report,
+                    report: Arc::new(report),
                     sim_wall_micros,
                 }))
             }
@@ -1126,7 +1132,7 @@ mod tests {
         let report = Simulator::new(SimConfig::default()).run_topology(&topology);
         let result = SimResult {
             key: JobKey(0),
-            report,
+            report: Arc::new(report),
             sim_wall_micros: 0,
         };
         let text = result.to_json().to_string();

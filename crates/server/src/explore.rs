@@ -1,6 +1,7 @@
 //! `POST /explore`: analytical-guided design-space exploration.
 //!
-//! The request body is a sweep plan (same fields as `POST /sweep`, see
+//! The request body is a sweep plan (same fields as `POST /sweep`, which
+//! map one-to-one onto plan-file keys — see
 //! [`crate::sweep::parse_sweep_plan`]) plus the explore knobs:
 //!
 //! ```json
@@ -28,6 +29,7 @@
 use std::collections::HashSet;
 use std::time::Duration;
 
+use scalesim::sweep::SweepError;
 use scalesim::{ExploreBudget, ExploreEngine, ExploreOptions, ExploreOutcome, MeasuredPoint};
 
 use crate::engine::Engine;
@@ -113,14 +115,16 @@ pub fn parse_explore_request(
 ///
 /// # Errors
 ///
-/// [`JobError::BadRequest`] for invalid requests, [`JobError::Internal`]
+/// [`JobError::BadRequest`] for invalid requests, including plans the
+/// explore engine rejects ([`SweepError::Plan`]); [`JobError::Internal`]
 /// when a survivor's simulation fails.
 pub fn run_explore(engine: &Engine, body: &Json) -> Result<Json, JobError> {
     let (plan, options) = parse_explore_request(body)?;
     let explorer = ExploreEngine::with_registry(EXPLORE_CACHE, engine.registry());
-    let outcome = explorer
-        .run(&plan, &options)
-        .map_err(|e| JobError::Internal(format!("explore failed: {e}")))?;
+    let outcome = explorer.run(&plan, &options).map_err(|e| match e {
+        SweepError::Plan(_) => JobError::from(e),
+        e => JobError::Internal(format!("explore failed: {e}")),
+    })?;
     Ok(outcome_json(&outcome))
 }
 

@@ -12,7 +12,7 @@
 use std::fmt;
 
 use scalesim::cache::ContentKey;
-use scalesim::sweep::canonical_job_text;
+use scalesim::sweep::{canonical_job_text, SweepError};
 use scalesim::{parse_config, PartitionGrid, SimConfig};
 use scalesim_topology::{networks, parse_topology_csv, topology_to_csv, Dataflow, Topology};
 
@@ -346,21 +346,8 @@ pub fn builtin_network(name: &str) -> Result<Topology, JobError> {
 }
 
 fn parse_grid(text: &str) -> Result<(u64, u64), JobError> {
-    let (pr, pc) = text
-        .split_once('x')
-        .ok_or_else(|| JobError::bad_request(format!("grid expects PRxPC, got `{text}`")))?;
-    let pr: u64 = pr
-        .trim()
-        .parse()
-        .map_err(|_| JobError::bad_request(format!("bad grid rows `{pr}`")))?;
-    let pc: u64 = pc
-        .trim()
-        .parse()
-        .map_err(|_| JobError::bad_request(format!("bad grid cols `{pc}`")))?;
-    if pr == 0 || pc == 0 {
-        return Err(JobError::bad_request("grid dimensions must be nonzero"));
-    }
-    Ok((pr, pc))
+    let grid: PartitionGrid = text.parse().map_err(JobError::BadRequest)?;
+    Ok((grid.rows(), grid.cols()))
 }
 
 /// A fully resolved job: canonical configuration, parsed topology, grid.
@@ -488,6 +475,17 @@ impl fmt::Display for JobError {
 }
 
 impl std::error::Error for JobError {}
+
+impl From<SweepError> for JobError {
+    /// An invalid plan is the client's fault (400); a sweep that failed
+    /// while running is the server's (500).
+    fn from(e: SweepError) -> JobError {
+        match e {
+            SweepError::Plan(msg) => JobError::BadRequest(msg),
+            other => JobError::Internal(other.to_string()),
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -23,9 +23,11 @@
 //!   REPORT CSV. Both are wired to the `scale-sim` binary's `serve` and
 //!   `batch` subcommands via [`cli`].
 //! * **Sweeps** ([`sweep`]) — `POST /sweep` expands a design-space plan
-//!   (the same plan model as `scalesim::sweep`) and runs every point
-//!   through the engine, sharing its cache and single-flight table with
-//!   ordinary `/simulate` traffic.
+//!   and runs every point through the engine, sharing its cache and
+//!   single-flight table with ordinary `/simulate` traffic. The JSON
+//!   fields map one-to-one onto `scalesim::sweep` plan-file keys and are
+//!   parsed by the same [`scalesim::sweep::PlanBuilder`], so `budgets`
+//!   also takes `"2^14"` strings.
 //! * **Exploration** ([`explore`]) — `POST /explore` takes the same plan
 //!   plus `keep_within` / `budget` knobs and runs the analytical-guided
 //!   pipeline of [`scalesim::ExploreEngine`]: predict every candidate with

@@ -1,16 +1,21 @@
 //! `POST /sweep`: design-space sweeps over the engine's shared cache.
 //!
-//! The request body is a JSON rendering of a core
-//! [`SweepPlan`]. The handler expands the plan,
-//! turns every point into a [`NormalizedJob`] and pushes it through
-//! [`Engine::run_normalized`] from a small pool of submitter threads — so
+//! The request body is a JSON rendering of a core [`SweepPlan`]. Its
+//! fields map one-to-one onto plan-file keys (plural `workloads`,
+//! `budgets`, `grids`, `dataflows`; `config{K: v}` is `config.K = v`), each
+//! array item is one plan entry, and values use plan-file syntax, so
+//! `budgets` also takes `"2^14"` strings. [`parse_sweep_plan`] only renames
+//! fields; [`PlanBuilder`] owns all validation.
+//!
+//! Every expanded point runs as a [`NormalizedJob`] through
+//! [`Engine::run_normalized`], one submitter thread per engine worker, so
 //! sweep points share the engine's result cache and single-flight dedup
-//! with ordinary `POST /simulate` traffic (they hash the same
-//! [`canonical_job_text`](scalesim::sweep::canonical_job_text)). The
-//! response lists points in plan order regardless of completion order, so
-//! the simulated figures for identical plans are byte-identical; only the
-//! per-point `served` markers (miss / hit / joined) and the summary's
-//! `simulations` / `cache_hits` counters reflect cache state.
+//! with `POST /simulate` traffic (they hash the same
+//! [`canonical_job_text`](scalesim::sweep::canonical_job_text)). Points
+//! come back in plan order, so identical plans give byte-identical figures;
+//! only the per-point `served` markers (miss / hit / joined) and the
+//! summary's `simulations` / `cache_hits` reflect cache state. Summary
+//! groups come from [`summarize_groups`], as in the CLI.
 //!
 //! Plan JSON:
 //!
@@ -18,7 +23,7 @@
 //! {
 //!   "name": "fig9_tf0",
 //!   "workloads": ["TF0"],
-//!   "budgets": [1024, 4096],
+//!   "budgets": [1024, "2^12"],
 //!   "min_dim": 8,
 //!   "grids": "all",            // or ["1x1", "2x2", ...]
 //!   "aspect": "all",           // or "squareish" (default)
@@ -28,188 +33,88 @@
 //! }
 //! ```
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::borrow::Cow;
+use std::sync::Arc;
 use std::time::Instant;
 
 use scalesim::sweep::{
-    sweet_spot_index, telemetry_names, AspectAxis, DataflowChoice, GridAxis, PointSpec, SweepPlan,
-    SweepWorkload,
+    summarize_groups, telemetry_names, DataflowChoice, PlanBuilder, SweepPlan, SweepResult,
 };
-use scalesim::PartitionGrid;
 use scalesim_telemetry::Histogram;
 
-use crate::engine::{Engine, Served, SimResult};
-use crate::job::{builtin_network, JobError, NormalizedJob};
+use crate::batch::submit_in_order;
+use crate::engine::{Engine, JobContext, Served, SimResult};
+use crate::job::{JobError, NormalizedJob};
 use crate::json::Json;
 
-/// How many submitter threads feed the engine per sweep request. The
-/// engine's own worker pool bounds actual simulation parallelism; the
-/// submitters only need to keep it saturated.
-const SUBMITTERS: usize = 8;
+/// JSON field → plan-file key, for every field but `config`.
+const PLAN_FIELDS: [(&str, &str); 8] = [
+    ("name", "name"),
+    ("workloads", "workload"),
+    ("budgets", "budget"),
+    ("min_dim", "min_dim"),
+    ("grids", "grid"),
+    ("aspect", "aspect"),
+    ("dataflows", "dataflow"),
+    ("bandwidth", "bandwidth"),
+];
 
-/// Parses the `POST /sweep` body into a core [`SweepPlan`].
+/// Parses the `POST /sweep` body into a core [`SweepPlan`] by feeding
+/// each field (each item, for arrays) to a [`PlanBuilder`] under its
+/// plan-file key.
 ///
 /// # Errors
 ///
-/// [`JobError::BadRequest`] on unknown fields, unknown workloads or
-/// malformed values.
+/// [`JobError::BadRequest`] on a non-object body, a missing `workloads` or
+/// `budgets`, an unknown field, a value that is not a string or number, or
+/// any entry the plan grammar rejects.
 pub fn parse_sweep_plan(value: &Json) -> Result<SweepPlan, JobError> {
     let obj = value
         .as_object()
         .ok_or_else(|| JobError::bad_request("sweep plan must be a JSON object"))?;
-    for (key, _) in obj {
-        match key.as_str() {
-            "name" | "workloads" | "budgets" | "min_dim" | "grids" | "aspect" | "dataflows"
-            | "config" | "bandwidth" => {}
-            other => {
-                return Err(JobError::bad_request(format!(
-                    "unknown sweep plan field `{other}`"
-                )))
-            }
+    for required in ["workloads", "budgets"] {
+        if value.get(required).is_none() {
+            return Err(JobError::bad_request(format!(
+                "sweep plan needs `{required}`"
+            )));
         }
     }
-
-    let mut plan = SweepPlan::new(
-        value
-            .get("name")
-            .map(|n| {
-                n.as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| JobError::bad_request("`name` must be a string"))
-            })
-            .transpose()?
-            .unwrap_or_else(|| "sweep".to_owned()),
-    );
-
-    let workloads = value
-        .get("workloads")
-        .and_then(Json::as_array)
-        .ok_or_else(|| JobError::bad_request("`workloads` must be an array of names"))?;
-    for w in workloads {
-        let name = w
-            .as_str()
-            .ok_or_else(|| JobError::bad_request("`workloads` entries must be strings"))?;
-        let topology = builtin_network(name)?;
-        plan.workloads.push(SweepWorkload {
-            label: topology.name().to_owned(),
-            topology,
-        });
-    }
-
-    let budgets = value
-        .get("budgets")
-        .and_then(Json::as_array)
-        .ok_or_else(|| JobError::bad_request("`budgets` must be an array of integers"))?;
-    for b in budgets {
-        plan.budgets.push(
-            b.as_u64()
-                .ok_or_else(|| JobError::bad_request("`budgets` entries must be integers"))?,
-        );
-    }
-
-    if let Some(min_dim) = value.get("min_dim") {
-        plan.min_dim = min_dim
-            .as_u64()
-            .ok_or_else(|| JobError::bad_request("`min_dim` must be an integer"))?;
-    }
-
-    if let Some(grids) = value.get("grids") {
-        plan.grids = match grids {
-            Json::Str(s) if s.eq_ignore_ascii_case("all") => GridAxis::PowersOfTwo,
-            Json::Arr(items) => {
-                let mut parsed = Vec::new();
-                for item in items {
-                    let text = item.as_str().ok_or_else(|| {
-                        JobError::bad_request("`grids` entries must be \"PRxPC\" strings")
-                    })?;
-                    let (r, c) = text.split_once('x').ok_or_else(|| {
-                        JobError::bad_request(format!("grid `{text}` is not PRxPC"))
-                    })?;
-                    let r: u64 = r
-                        .trim()
-                        .parse()
-                        .map_err(|_| JobError::bad_request(format!("bad grid rows `{r}`")))?;
-                    let c: u64 = c
-                        .trim()
-                        .parse()
-                        .map_err(|_| JobError::bad_request(format!("bad grid cols `{c}`")))?;
-                    if r == 0 || c == 0 {
-                        return Err(JobError::bad_request("grid dimensions must be nonzero"));
-                    }
-                    parsed.push(PartitionGrid::new(r, c));
-                }
-                GridAxis::Explicit(parsed)
+    let mut builder = PlanBuilder::default();
+    for (field, val) in obj {
+        if field == "config" {
+            let pairs = val
+                .as_object()
+                .ok_or_else(|| JobError::bad_request("`config` must be an object"))?;
+            for (key, v) in pairs {
+                builder.apply(&format!("config.{key}"), &entry_text(key, v)?)?;
             }
-            _ => {
-                return Err(JobError::bad_request(
-                    "`grids` must be \"all\" or an array of \"PRxPC\" strings",
-                ))
-            }
+            continue;
+        }
+        let (_, key) = PLAN_FIELDS
+            .iter()
+            .find(|(name, _)| name == field)
+            .ok_or_else(|| JobError::bad_request(format!("unknown sweep plan field `{field}`")))?;
+        let items = match val {
+            Json::Arr(items) => items.as_slice(),
+            scalar => std::slice::from_ref(scalar),
         };
-    }
-
-    if let Some(aspect) = value.get("aspect") {
-        plan.aspects = match aspect.as_str() {
-            Some(s) if s.eq_ignore_ascii_case("squareish") || s.eq_ignore_ascii_case("square") => {
-                AspectAxis::Squareish
-            }
-            Some(s) if s.eq_ignore_ascii_case("all") => AspectAxis::All,
-            _ => {
-                return Err(JobError::bad_request(
-                    "`aspect` must be \"squareish\" or \"all\"",
-                ))
-            }
-        };
-    }
-
-    if let Some(dataflows) = value.get("dataflows") {
-        let items = dataflows
-            .as_array()
-            .ok_or_else(|| JobError::bad_request("`dataflows` must be an array of strings"))?;
-        for df in items {
-            let text = df
-                .as_str()
-                .ok_or_else(|| JobError::bad_request("`dataflows` entries must be strings"))?;
-            plan.dataflows
-                .push(text.parse().map_err(JobError::bad_request)?);
+        for item in items {
+            builder.apply(key, &entry_text(field, item)?)?;
         }
     }
+    Ok(builder.finish()?)
+}
 
-    if let Some(config) = value.get("config") {
-        let pairs = config
-            .as_object()
-            .ok_or_else(|| JobError::bad_request("`config` must be an object"))?;
-        let mut override_text = String::new();
-        for (k, v) in pairs {
-            let text = match v {
-                Json::Str(s) => s.clone(),
-                Json::Int(i) => i.to_string(),
-                Json::Float(f) => f.to_string(),
-                _ => {
-                    return Err(JobError::bad_request(format!(
-                        "config value for `{k}` must be a string or number"
-                    )))
-                }
-            };
-            override_text.push_str(&format!("{k} : {text}\n"));
-        }
-        plan.base = scalesim::parse_config(&override_text)
-            .map_err(|e| JobError::bad_request(format!("config override: {e}")))?;
+/// A JSON scalar as plan-file value text.
+fn entry_text<'a>(field: &str, value: &'a Json) -> Result<Cow<'a, str>, JobError> {
+    match value {
+        Json::Str(s) => Ok(Cow::Borrowed(s)),
+        Json::Int(i) => Ok(Cow::Owned(i.to_string())),
+        Json::Float(f) => Ok(Cow::Owned(f.to_string())),
+        _ => Err(JobError::bad_request(format!(
+            "`{field}` values must be strings or numbers"
+        ))),
     }
-
-    if let Some(bw) = value.get("bandwidth") {
-        let bw = bw
-            .as_f64()
-            .ok_or_else(|| JobError::bad_request("`bandwidth` must be a number"))?;
-        if !(bw.is_finite() && bw > 0.0) {
-            return Err(JobError::bad_request("bandwidth must be positive"));
-        }
-        plan.base.dram_bandwidth = Some(bw);
-    }
-
-    Ok(plan)
 }
 
 /// Parses, expands and runs a sweep plan against `engine`, returning the
@@ -221,9 +126,7 @@ pub fn parse_sweep_plan(value: &Json) -> Result<SweepPlan, JobError> {
 /// a point's simulation fails.
 pub fn run_sweep(engine: &Engine, body: &Json) -> Result<Json, JobError> {
     let plan = parse_sweep_plan(body)?;
-    let points = plan
-        .expand()
-        .map_err(|e| JobError::bad_request(e.to_string()))?;
+    let points = plan.expand()?;
 
     let registry = engine.registry();
     let points_total = registry.counter(
@@ -244,66 +147,55 @@ pub fn run_sweep(engine: &Engine, body: &Json) -> Result<Json, JobError> {
         &Histogram::duration_buckets(),
     );
 
-    let topology_of: HashMap<&str, usize> = plan
-        .workloads
-        .iter()
-        .enumerate()
-        .map(|(i, w)| (w.label.as_str(), i))
-        .collect();
-
-    type PointOutcome = Result<(Arc<SimResult>, Served), JobError>;
-    let outcomes: Mutex<Vec<Option<PointOutcome>>> = Mutex::new(vec![None; points.len()]);
-    let next = AtomicUsize::new(0);
-    let submitters = SUBMITTERS.min(points.len()).max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..submitters {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = points.get(i) else { break };
-                let workload = topology_of[spec.workload.as_str()];
-                let job = NormalizedJob {
-                    config: spec.config(&plan.base),
-                    topology: plan.workloads[workload].topology.clone(),
-                    grid: spec.grid,
-                    auto_dataflow: spec.dataflow == DataflowChoice::Auto,
-                };
-                let started = Instant::now();
-                let outcome = engine.run_normalized_with_context(
-                    job,
-                    None,
-                    crate::engine::JobContext {
-                        route: "/sweep",
-                        request_id: "",
-                    },
-                );
-                if matches!(outcome, Ok((_, Served::Fresh))) {
-                    point_seconds.observe_duration(started.elapsed());
-                }
-                outcomes.lock().unwrap()[i] = Some(outcome);
-            });
+    let outcomes = submit_in_order(points.len(), engine.workers(), |i| {
+        let spec = &points[i];
+        let workload = plan
+            .workloads
+            .iter()
+            .find(|w| w.label == spec.workload)
+            .expect("every point names a plan workload");
+        let job = NormalizedJob {
+            config: spec.config(&plan.base),
+            topology: workload.topology.clone(),
+            grid: spec.grid,
+            auto_dataflow: spec.dataflow == DataflowChoice::Auto,
+        };
+        let started = Instant::now();
+        let context = JobContext {
+            route: "/sweep",
+            request_id: "",
+        };
+        let outcome = engine.run_normalized_with_context(job, None, context);
+        if matches!(outcome, Ok((_, Served::Fresh))) {
+            point_seconds.observe_duration(started.elapsed());
         }
+        outcome
     });
 
-    let outcomes = outcomes.into_inner().unwrap();
-    let mut served_points: Vec<(PointSpec, Arc<SimResult>, Served)> =
-        Vec::with_capacity(points.len());
+    let mut results = Vec::with_capacity(points.len());
+    let mut served = Vec::with_capacity(points.len());
     for (spec, outcome) in points.into_iter().zip(outcomes) {
-        let (result, served) = outcome.expect("every point was claimed by a submitter")?;
-        served_points.push((spec, result, served));
+        let (result, how) = outcome?;
+        results.push(SweepResult {
+            spec,
+            report: Arc::clone(&result.report),
+        });
+        served.push((result, how));
     }
 
-    let simulations = served_points
+    let simulations = served
         .iter()
-        .filter(|(_, _, served)| *served == Served::Fresh)
+        .filter(|(_, how)| *how == Served::Fresh)
         .count() as u64;
-    let cache_hits = served_points.len() as u64 - simulations;
-    points_total.add(served_points.len() as u64);
+    let cache_hits = results.len() as u64 - simulations;
+    points_total.add(results.len() as u64);
     simulations_metric.add(simulations);
     cache_hits_metric.add(cache_hits);
 
-    let rows: Vec<Json> = served_points
+    let rows: Vec<Json> = results
         .iter()
-        .map(|(spec, result, served)| point_json(spec, result, *served))
+        .zip(&served)
+        .map(|(point, (result, how))| point_json(point, result, *how))
         .collect();
     Ok(Json::obj(vec![
         ("plan", Json::str(plan.name.clone())),
@@ -311,17 +203,17 @@ pub fn run_sweep(engine: &Engine, body: &Json) -> Result<Json, JobError> {
         (
             "summary",
             Json::obj(vec![
-                ("points", Json::Int((served_points.len() as u64).into())),
+                ("points", Json::Int((results.len() as u64).into())),
                 ("simulations", Json::Int(simulations.into())),
                 ("cache_hits", Json::Int(cache_hits.into())),
-                ("groups", Json::Arr(group_summaries(&served_points))),
+                ("groups", Json::Arr(group_json(&results))),
             ]),
         ),
     ]))
 }
 
-fn point_json(spec: &PointSpec, result: &SimResult, served: Served) -> Json {
-    let report = &result.report;
+fn point_json(point: &SweepResult, result: &SimResult, served: Served) -> Json {
+    let (spec, report) = (&point.spec, &point.report);
     Json::obj(vec![
         ("workload", Json::str(spec.workload.clone())),
         ("budget", Json::Int(spec.budget.into())),
@@ -350,70 +242,33 @@ fn point_json(spec: &PointSpec, result: &SimResult, served: Served) -> Json {
     ])
 }
 
-/// One summary object per (workload, budget, dataflow) group: the fastest
-/// point and the runtime/bandwidth sweet spot over the group's partition
-/// series (mirrors [`scalesim::sweep::SweepOutcome::summarize`]).
-fn group_summaries(points: &[(PointSpec, Arc<SimResult>, Served)]) -> Vec<Json> {
-    let mut order: Vec<(String, u64, String)> = Vec::new();
-    let mut groups: HashMap<(String, u64, String), Vec<usize>> = HashMap::new();
-    for (i, (spec, _, _)) in points.iter().enumerate() {
-        let key = (
-            spec.workload.clone(),
-            spec.budget,
-            spec.dataflow.to_string(),
-        );
-        let members = groups.entry(key.clone()).or_default();
-        if members.is_empty() {
-            order.push(key);
-        }
-        members.push(i);
-    }
-    order
+/// One JSON object per [`summarize_groups`] group: the fastest point and
+/// the runtime/bandwidth sweet spot, each named by its plan-order index.
+fn group_json(results: &[SweepResult]) -> Vec<Json> {
+    let point_ref = |r: &SweepResult| {
+        Json::obj(vec![
+            ("index", Json::Int((r.spec.index as u64).into())),
+            ("grid", Json::str(r.spec.grid.to_string())),
+            ("array", Json::str(r.spec.array.to_string())),
+            ("partitions", Json::Int(r.spec.partitions().into())),
+            (
+                "effective_cycles",
+                Json::Int(r.report.total_effective_cycles().into()),
+            ),
+        ])
+    };
+    summarize_groups(results)
         .into_iter()
-        .map(|key| {
-            let mut members = groups.remove(&key).expect("group recorded in order");
-            let (workload, budget, dataflow) = key;
-            let best = members
-                .iter()
-                .copied()
-                .min_by_key(|&i| (points[i].1.report.total_effective_cycles(), i))
-                .expect("nonempty group");
-            members.sort_by_key(|&i| (points[i].0.partitions(), i));
-            let cycles: Vec<u64> = members
-                .iter()
-                .map(|&i| points[i].1.report.total_cycles())
-                .collect();
-            let bw: Vec<f64> = members
-                .iter()
-                .map(|&i| points[i].1.report.peak_required_bandwidth())
-                .collect();
-            let mut partition_counts: Vec<u64> =
-                members.iter().map(|&i| points[i].0.partitions()).collect();
-            partition_counts.dedup();
-            let sweet = if partition_counts.len() > 1 {
-                sweet_spot_index(&cycles, &bw).map(|s| members[s])
-            } else {
-                None
-            };
-            let point_ref = |i: usize| {
-                let (spec, result, _) = &points[i];
-                Json::obj(vec![
-                    ("index", Json::Int((i as u64).into())),
-                    ("grid", Json::str(spec.grid.to_string())),
-                    ("array", Json::str(spec.array.to_string())),
-                    ("partitions", Json::Int(spec.partitions().into())),
-                    (
-                        "effective_cycles",
-                        Json::Int(result.report.total_effective_cycles().into()),
-                    ),
-                ])
-            };
+        .map(|group| {
             Json::obj(vec![
-                ("workload", Json::str(workload)),
-                ("budget", Json::Int(budget.into())),
-                ("dataflow", Json::str(dataflow)),
-                ("best", point_ref(best)),
-                ("sweet_spot", sweet.map(point_ref).unwrap_or(Json::Null)),
+                ("workload", Json::str(group.workload)),
+                ("budget", Json::Int(group.budget.into())),
+                ("dataflow", Json::str(group.dataflow.to_string())),
+                ("best", point_ref(group.best)),
+                (
+                    "sweet_spot",
+                    group.sweet_spot.map(point_ref).unwrap_or(Json::Null),
+                ),
             ])
         })
         .collect()
@@ -450,6 +305,95 @@ mod tests {
         assert!(parse_sweep_plan(&plan_json(r#","grids":"some""#)).is_err());
         assert!(parse_sweep_plan(&plan_json(r#","dataflows":["rs"]"#)).is_err());
         assert!(parse_sweep_plan(&plan_json(r#","bandwidth":-1"#)).is_err());
+    }
+
+    /// Every shipped plan file parses to the same plan as its JSON
+    /// rendering: one grammar behind both front ends.
+    #[test]
+    fn shipped_plans_match_their_json_renderings() {
+        let small_sram = r#""config":{"IfmapSramSz":64,"FilterSramSz":64,"OfmapSramSz":32}"#;
+        let cases = [
+            (
+                include_str!("../../../examples/fig9_tf0.plan"),
+                r#"{"name":"fig9-tf0","workloads":["TF0"],"budgets":["2^10","2^12"],
+                   "aspect":"all","dataflows":["os"],
+                   "config":{"IfmapSramSz":512,"FilterSramSz":512,"OfmapSramSz":256}}"#
+                    .to_owned(),
+            ),
+            (
+                include_str!("../../../examples/sweep_hetero.plan"),
+                format!(
+                    r#"{{"name":"sweep-hetero","workloads":["TF0","TF1"],
+                        "budgets":[256,1024],{small_sram}}}"#
+                ),
+            ),
+            (
+                include_str!("../../../examples/explore_smoke.plan"),
+                format!(
+                    r#"{{"name":"explore-smoke","workloads":["TF0","TF1"],
+                        "budgets":["2^10",4096,"2^14"],"aspect":"all",
+                        "dataflows":["os","auto"],{small_sram}}}"#
+                ),
+            ),
+            (
+                include_str!("../../../examples/ws_is_conv.plan"),
+                format!(
+                    r#"{{"name":"ws-is-conv","workloads":["yolo_tiny"],"budgets":["2^8"],
+                        "grids":["1x1","2x2"],"dataflows":["os","ws","is"],{small_sram}}}"#
+                ),
+            ),
+            (
+                "workload = TF1\nbudget = 2^10\nmin_dim = 16\ngrid = all\nbandwidth = 32.5\n",
+                r#"{"workloads":["TF1"],"budgets":[1024],"min_dim":16,"grids":"all",
+                   "bandwidth":32.5}"#
+                    .to_owned(),
+            ),
+        ];
+        for (plan_text, json) in cases {
+            let from_file = SweepPlan::parse(plan_text).unwrap();
+            let from_json = parse_sweep_plan(&Json::parse(&json).unwrap()).unwrap();
+            assert_eq!(from_file, from_json, "plan `{}`", from_file.name);
+        }
+    }
+
+    /// `/sweep` summary groups name the same best and sweet-spot points
+    /// as the core engine's summary of the same plan.
+    #[test]
+    fn groups_match_the_core_summary() {
+        let body = Json::parse(
+            r#"{"workloads":["NCF0","NCF1"],"budgets":[1024],"dataflows":["os","ws"],
+                "config":{"IfmapSramSz":64,"FilterSramSz":64,"OfmapSramSz":32}}"#,
+        )
+        .unwrap();
+        let engine = Engine::new(2, 64);
+        let response = run_sweep(&engine, &body).unwrap();
+        engine.shutdown();
+        let groups = response
+            .get("summary")
+            .and_then(|s| s.get("groups"))
+            .and_then(Json::as_array)
+            .unwrap();
+
+        let plan = parse_sweep_plan(&body).unwrap();
+        let outcome =
+            scalesim::SweepEngine::with_registry(64, &scalesim_telemetry::Registry::new())
+                .run(&plan, 2)
+                .unwrap();
+        let core = outcome.summarize();
+        assert_eq!(groups.len(), 4);
+        assert_eq!(groups.len(), core.len());
+        let index = |v: Option<&Json>| v.and_then(|p| p.get("index")).and_then(Json::as_u64);
+        for (json, group) in groups.iter().zip(&core) {
+            assert_eq!(
+                json.get("workload").and_then(Json::as_str),
+                Some(group.workload)
+            );
+            assert_eq!(index(json.get("best")), Some(group.best.spec.index as u64));
+            assert_eq!(
+                index(json.get("sweet_spot")),
+                group.sweet_spot.map(|r| r.spec.index as u64)
+            );
+        }
     }
 
     #[test]

@@ -329,6 +329,33 @@ fn explore_route_prunes_and_reports_a_frontier() {
     handle.stop();
 }
 
+/// Plans the plan grammar rejects are client errors on both plan routes,
+/// never a 500 or a dropped connection.
+#[test]
+fn invalid_plans_are_bad_requests_on_sweep_and_explore() {
+    let handle = start_server(1);
+    let bodies = [
+        r#"{"workloads":["TF1"],"budgets":[1000]}"#,
+        r#"{"workloads":[],"budgets":[1024]}"#,
+        r#"{"workloads":["TF1"],"budgets":[1024],"grids":["3x1"]}"#,
+        r#"{"workloads":["TF1"],"budgets":[1024],"min_dim":3}"#,
+        r#"{"workloads":["TF1"],"budgets":[1024],"min_dim":4294967296}"#,
+    ];
+    for route in ["/sweep", "/explore"] {
+        for body in bodies {
+            let response = request(handle.addr(), "POST", route, Some(body)).unwrap();
+            assert_eq!(response.status, 400, "{route} {body}: {}", response.body);
+            assert!(
+                Json::parse(&response.body).unwrap().get("error").is_some(),
+                "{route} {body}: {}",
+                response.body
+            );
+        }
+    }
+    assert_eq!(stats_field(&handle, "simulations"), 0);
+    handle.stop();
+}
+
 #[test]
 fn inline_topology_round_trips_over_http() {
     let handle = start_server(2);

@@ -21,6 +21,8 @@
 //!   one branch per span when disabled.
 //! * **Flight recorder** ([`recorder`]) — a bounded ring of recent
 //!   records (e.g. one per server job) for in-memory post-mortems.
+//! * **JSON escaping** ([`json`]) — the one string escaper behind every
+//!   hand-written JSON writer in the workspace.
 //! * **Structured logging** ([`log`]) — leveled `key=value` or JSON line
 //!   events on stderr, gated by the `SCALESIM_LOG` environment variable
 //!   (off by default).
@@ -32,6 +34,7 @@
 
 #![warn(missing_docs)]
 
+pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod recorder;

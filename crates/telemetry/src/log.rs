@@ -19,6 +19,8 @@ use std::fmt::Write as _;
 use std::sync::OnceLock;
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use crate::json::Escaped;
+
 /// Log severity, most to least severe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Level {
@@ -165,10 +167,10 @@ pub fn format_line(
             let mut out = format!(
                 "{{\"ts\":\"{ts}\",\"level\":\"{}\",\"event\":\"{}\"",
                 level.tag_lower(),
-                json_escape(event)
+                Escaped(event)
             );
             for (k, v) in fields {
-                let _ = write!(out, ",\"{}\":\"{}\"", json_escape(k), json_escape(v));
+                let _ = write!(out, ",\"{}\":\"{}\"", Escaped(k), Escaped(v));
             }
             out.push('}');
             out
@@ -197,24 +199,6 @@ fn quote_if_needed(v: &str) -> String {
         out.push('"');
         out
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Epoch milliseconds to `YYYY-MM-DDTHH:MM:SS.mmmZ` (UTC), via the
